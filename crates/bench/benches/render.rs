@@ -8,9 +8,10 @@ use std::hint::black_box;
 fn bench_render(c: &mut Criterion) {
     let mut group = c.benchmark_group("render");
     group.sample_size(10);
-    // resolution scaling on one representative game
+    // resolution scaling on one representative game, from the fleet's
+    // 256x144 server canvas up to the comparison's native 1280x720
     let g3 = GameWorkload::new(GameId::G3);
-    for (w, h) in [(320usize, 180usize), (640, 360)] {
+    for (w, h) in [(256usize, 144usize), (320, 180), (640, 360), (1280, 720)] {
         group.bench_with_input(
             BenchmarkId::new("g3", format!("{w}x{h}")),
             &(w, h),

@@ -5,6 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gamestreamsr::decoder_ext::SrIntegratedDecoder;
 use gamestreamsr::{GameStreamClient, GameStreamServer, NemoClient, ServerConfig};
+use gss_render::{GameId, GameWorkload};
+use gss_sr::{resize_plane, InterpKernel, NeuralSr, NeuralSrConfig, Upscaler};
 use std::hint::black_box;
 
 fn bench_pipelines(c: &mut Criterion) {
@@ -54,5 +56,23 @@ fn bench_pipelines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipelines);
+/// The comparison's full-frame upscales at its 640x360 → 1280x720 size:
+/// bicubic (the neural proxy's initializer) and NEMO's reference-frame SR.
+fn bench_full_frame(c: &mut Criterion) {
+    let mut group = c.benchmark_group("full_frame_640x360");
+    group.sample_size(10);
+    let lr = GameWorkload::new(GameId::G3)
+        .render_frame(0, 640, 360)
+        .frame;
+    group.bench_function("bicubic_resize_plane_y", |b| {
+        b.iter(|| black_box(resize_plane(lr.y(), 1280, 720, InterpKernel::Bicubic)))
+    });
+    group.bench_function("neural_sr_frame", |b| {
+        let sr = NeuralSr::new(NeuralSrConfig::default());
+        b.iter(|| black_box(sr.upscale(&lr)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_pipelines, bench_full_frame);
 criterion_main!(benches);

@@ -106,7 +106,10 @@ impl MotionField {
 }
 
 /// Sum of absolute differences between a block of `cur` at `(x, y)` and a
-/// displaced block of `reference`, with border replication.
+/// displaced block of `reference`, with border replication. The block is
+/// cropped to the frame; the differences are added in `f64` in raster
+/// order. A displaced block inside the reference reads row slices, any
+/// other clamps each coordinate; both add the same terms in that order.
 fn sad(
     cur: &Plane<f32>,
     reference: &Plane<f32>,
@@ -116,19 +119,28 @@ fn sad(
     dy: i32,
     block: usize,
 ) -> f64 {
+    let (w, h) = cur.size();
+    let bw = block.min(w.saturating_sub(x));
+    let bh = block.min(h.saturating_sub(y));
+    let (rx, ry) = (x as isize + dx as isize, y as isize + dy as isize);
+    let (rw, rh) = reference.size();
     let mut acc = 0.0f64;
-    for by in 0..block {
-        let cy = y + by;
-        if cy >= cur.height() {
-            break;
-        }
-        for bx in 0..block {
-            let cx = x + bx;
-            if cx >= cur.width() {
-                break;
+    if rx >= 0 && ry >= 0 && rx as usize + bw <= rw && ry as usize + bh <= rh {
+        let (rx, ry) = (rx as usize, ry as usize);
+        for by in 0..bh {
+            let c = &cur.row(y + by)[x..x + bw];
+            let r = &reference.row(ry + by)[rx..rx + bw];
+            for (&c, &r) in c.iter().zip(r) {
+                acc += (c - r).abs() as f64;
             }
-            let r = reference.get_clamped(cx as isize + dx as isize, cy as isize + dy as isize);
-            acc += (cur.get(cx, cy) - r).abs() as f64;
+        }
+        return acc;
+    }
+    for by in 0..bh {
+        let c = &cur.row(y + by)[x..x + bw];
+        for (bx, &c) in c.iter().enumerate() {
+            let r = reference.get_clamped(rx + bx as isize, ry + by as isize);
+            acc += (c - r).abs() as f64;
         }
     }
     acc
@@ -214,6 +226,8 @@ fn search_block(
 /// Builds the motion-compensated prediction of a frame plane from
 /// `reference` and a motion field. `block` is the macroblock size in this
 /// plane's resolution (16 for luma at coded size, 32 after 2x upscaling).
+/// Each block row copies one reference row slice; only blocks displaced
+/// across the left or right border clamp per pixel.
 ///
 /// # Panics
 ///
@@ -228,9 +242,18 @@ pub fn compensate(reference: &Plane<f32>, motion: &MotionField, block: usize) ->
     );
     let data = gss_platform::pool::build_rows(width, height, 0.0f32, |y, row| {
         let brow = y / block;
-        for (x, out) in row.iter_mut().enumerate() {
-            let v = motion.get(x / block, brow);
-            *out = reference.get_clamped(x as isize + v.dx as isize, y as isize + v.dy as isize);
+        for (bx, out) in row.chunks_mut(block).enumerate() {
+            let v = motion.get(bx, brow);
+            let sy = (y as isize + v.dy as isize).clamp(0, height as isize - 1) as usize;
+            let src = reference.row(sy);
+            let sx = (bx * block) as isize + v.dx as isize;
+            if sx >= 0 && sx as usize + out.len() <= width {
+                out.copy_from_slice(&src[sx as usize..sx as usize + out.len()]);
+            } else {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = src[(sx + i as isize).clamp(0, width as isize - 1) as usize];
+                }
+            }
         }
     });
     Plane::from_vec(width, height, data).expect("row count matches plane size")
@@ -250,6 +273,114 @@ mod tests {
         Plane::from_fn(p.width(), p.height(), |x, y| {
             p.get_clamped(x as isize - dx, y as isize - dy)
         })
+    }
+
+    /// The per-sample `get_clamped` SAD loop the slice kernel replaced,
+    /// kept verbatim as the bit-exact reference.
+    fn sad_reference(
+        cur: &Plane<f32>,
+        reference: &Plane<f32>,
+        x: usize,
+        y: usize,
+        dx: i32,
+        dy: i32,
+        block: usize,
+    ) -> f64 {
+        let mut acc = 0.0f64;
+        for by in 0..block {
+            let cy = y + by;
+            if cy >= cur.height() {
+                break;
+            }
+            for bx in 0..block {
+                let cx = x + bx;
+                if cx >= cur.width() {
+                    break;
+                }
+                let r = reference.get_clamped(cx as isize + dx as isize, cy as isize + dy as isize);
+                acc += (cur.get(cx, cy) - r).abs() as f64;
+            }
+        }
+        acc
+    }
+
+    /// The per-pixel compensation loop the row-slice kernel replaced.
+    fn compensate_reference(
+        reference: &Plane<f32>,
+        motion: &MotionField,
+        block: usize,
+    ) -> Plane<f32> {
+        Plane::from_fn(reference.width(), reference.height(), |x, y| {
+            let v = motion.get(x / block, y / block);
+            reference.get_clamped(x as isize + v.dx as isize, y as isize + v.dy as isize)
+        })
+    }
+
+    /// Vectors inside the frame, across each border and far outside it.
+    const PROBES: [(i32, i32); 13] = [
+        (0, 0),
+        (3, -2),
+        (-7, 7),
+        (-1, 0),
+        (0, -1),
+        (15, 0),
+        (0, 17),
+        (-16, -16),
+        (40, 3),
+        (-3, -40),
+        (70, 70),
+        (-70, 5),
+        (2, -300),
+    ];
+
+    #[test]
+    fn sad_matches_the_clamped_reference_bitwise() {
+        // 50x34: partial macroblocks on the right and bottom edges
+        let reference = textured(50, 34);
+        let current = shifted(&reference, 2, -1).map(|v| v * 0.93 + 4.1);
+        for by in 0..3 {
+            for bx in 0..4 {
+                let (x, y) = (bx * MB_SIZE, by * MB_SIZE);
+                for (dx, dy) in PROBES {
+                    let fast = sad(&current, &reference, x, y, dx, dy, MB_SIZE);
+                    let slow = sad_reference(&current, &reference, x, y, dx, dy, MB_SIZE);
+                    assert_eq!(
+                        fast.to_bits(),
+                        slow.to_bits(),
+                        "mb ({bx},{by}) mv ({dx},{dy})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compensate_matches_the_clamped_reference_bitwise() {
+        for (w, h, block) in [
+            (50, 34, MB_SIZE),
+            (64, 48, MB_SIZE),
+            (100, 68, 32),
+            (7, 5, 16),
+        ] {
+            let reference = textured(w, h);
+            let (cols, rows) = (w.div_ceil(block), h.div_ceil(block));
+            let vectors = (0..cols * rows)
+                .map(|i| {
+                    let (dx, dy) = PROBES[i % PROBES.len()];
+                    MotionVector {
+                        dx: dx as i16,
+                        dy: dy as i16,
+                    }
+                })
+                .collect();
+            let motion = MotionField::from_vectors(cols, rows, vectors);
+            let bits = |p: &Plane<f32>| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&compensate(&reference, &motion, block)),
+                bits(&compensate_reference(&reference, &motion, block)),
+                "{w}x{h} block {block}"
+            );
+        }
     }
 
     #[test]

@@ -315,17 +315,38 @@ impl Plane<f32> {
             self.height
         );
         let ow = self.width / factor;
-        let oh = self.height / factor;
+        let mut data = vec![0.0f32; ow * (self.height / factor)];
+        for (oy, row) in data.chunks_mut(ow).enumerate() {
+            self.downsample_box_row(factor, oy, row);
+        }
+        Plane::from_vec(ow, self.height / factor, data).expect("rows cover the output plane")
+    }
+
+    /// Output row `oy` of [`Plane::downsample_box`], written into `out`
+    /// (`width / factor` samples). Each output sample adds its block's
+    /// samples from `0.0` in row-major order (row `dy` outer, column `dx`
+    /// inner) and scales by `1 / factor²`; row-parallel callers share this
+    /// kernel so every path is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() != width / factor` or the block rows of `oy`
+    /// fall outside the plane.
+    pub fn downsample_box_row(&self, factor: usize, oy: usize, out: &mut [f32]) {
+        assert_eq!(out.len(), self.width / factor, "output row length");
         let norm = 1.0 / (factor * factor) as f32;
-        Plane::from_fn(ow, oh, |ox, oy| {
-            let mut acc = 0.0f32;
-            for dy in 0..factor {
-                for dx in 0..factor {
-                    acc += self.get(ox * factor + dx, oy * factor + dy);
+        out.fill(0.0);
+        for dy in 0..factor {
+            let src = self.row(oy * factor + dy);
+            for (acc, block) in out.iter_mut().zip(src.chunks_exact(factor)) {
+                for &v in block {
+                    *acc += v;
                 }
             }
-            acc * norm
-        })
+        }
+        for v in out {
+            *v *= norm;
+        }
     }
 
     /// Summed-area table: `sat[y][x]` is the sum of all samples in the
@@ -439,6 +460,34 @@ mod tests {
         assert_eq!(d.size(), (2, 2));
         assert_eq!(d.get(0, 0), 0.0);
         assert_eq!(d.get(1, 1), 4.0);
+    }
+
+    #[test]
+    fn downsample_box_matches_the_per_sample_reference_bitwise() {
+        // the `get` loop the row kernel replaced, kept as the reference
+        fn reference(p: &Plane<f32>, factor: usize) -> Plane<f32> {
+            let norm = 1.0 / (factor * factor) as f32;
+            Plane::from_fn(p.width() / factor, p.height() / factor, |ox, oy| {
+                let mut acc = 0.0f32;
+                for dy in 0..factor {
+                    for dx in 0..factor {
+                        acc += p.get(ox * factor + dx, oy * factor + dy);
+                    }
+                }
+                acc * norm
+            })
+        }
+        let p = Plane::from_fn(60, 36, |x, y| {
+            ((x * 31 + y * 17) % 251) as f32 * 0.731 - 40.0
+        });
+        for factor in [1usize, 2, 3, 4, 6, 12] {
+            let bits = |q: &Plane<f32>| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&p.downsample_box(factor)),
+                bits(&reference(&p, factor)),
+                "factor {factor}"
+            );
+        }
     }
 
     #[test]

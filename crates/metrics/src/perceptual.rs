@@ -78,19 +78,21 @@ pub fn perceptual_distance_planes(
             actual: (w, h),
         });
     }
-    let mut a = reference.clone();
-    let mut b = distorted.clone();
+    // the coarser scales own their halved planes; scale 0 borrows the inputs
+    let mut halved: Option<(Plane<f32>, Plane<f32>)> = None;
     let mut total = 0.0f64;
     let mut weight_sum = 0.0f64;
     for scale in 0..config.scales.max(1) {
+        let (a, b) = halved
+            .as_ref()
+            .map_or((reference, distorted), |(a, b)| (a, b));
         let weight = 1.0 / (1 << scale) as f64;
-        total += weight * scale_distance(&a, &b, config);
+        total += weight * scale_distance(a, b, config);
         weight_sum += weight;
         if a.width() < 32 || a.height() < 32 || scale + 1 == config.scales.max(1) {
             break;
         }
-        a = half(&a);
-        b = half(&b);
+        halved = Some((half(a), half(b)));
     }
     Ok((total / weight_sum).clamp(0.0, 1.0))
 }
@@ -107,12 +109,11 @@ fn scale_distance(a: &Plane<f32>, b: &Plane<f32>, config: &PerceptualConfig) -> 
     let (w, h) = a.size();
     let row_partials = gss_platform::pool::map_indexed(h, |y| {
         let mut acc = 0.0f64;
-        for x in 0..w {
-            let ma = ga.get(x, y) as f64;
-            let mb = gb.get(x, y) as f64;
+        let grads = ga.row(y).iter().zip(gb.row(y));
+        for ((&ma, &mb), (&da, &db)) in grads.zip(a.row(y).iter().zip(b.row(y))) {
+            let (ma, mb) = (ma as f64, mb as f64);
             let gms = (2.0 * ma * mb + config.c) / (ma * ma + mb * mb + config.c);
-            let da = a.get(x, y) as f64;
-            let db = b.get(x, y) as f64;
+            let (da, db) = (da as f64, db as f64);
             let lum = (2.0 * da * db + config.c) / (da * da + db * db + config.c);
             let sim = gms * (1.0 - config.contrast_weight) + lum * config.contrast_weight;
             acc += 1.0 - sim;
@@ -122,17 +123,38 @@ fn scale_distance(a: &Plane<f32>, b: &Plane<f32>, config: &PerceptualConfig) -> 
     row_partials.iter().sum::<f64>() / (w * h) as f64
 }
 
+/// Sobel gradient magnitude of a 3×3 neighbourhood, `s(dx, dy)` being the
+/// sample at offset `(dx, dy)` from the center.
+#[inline(always)]
+fn sobel_at(s: impl Fn(isize, isize) -> f32) -> f32 {
+    let gx = (s(1, -1) + 2.0 * s(1, 0) + s(1, 1)) - (s(-1, -1) + 2.0 * s(-1, 0) + s(-1, 1));
+    let gy = (s(-1, 1) + 2.0 * s(0, 1) + s(1, 1)) - (s(-1, -1) + 2.0 * s(0, -1) + s(1, -1));
+    (gx * gx + gy * gy).sqrt()
+}
+
+/// Per-pixel Sobel magnitude with border-replicated neighbours. Interior
+/// pixels read three row slices directly; only the one-pixel border ring
+/// clamps its coordinates. Both evaluate [`sobel_at`], so they agree bit
+/// for bit.
 fn sobel_magnitude(p: &Plane<f32>) -> Plane<f32> {
     let (w, h) = p.size();
     let data = gss_platform::pool::build_rows(w, h, 0.0f32, |y, row| {
         let yi = y as isize;
-        for (x, v) in row.iter_mut().enumerate() {
-            let xi = x as isize;
-            let s = |dx: isize, dy: isize| p.get_clamped(xi + dx, yi + dy);
-            let gx = (s(1, -1) + 2.0 * s(1, 0) + s(1, 1)) - (s(-1, -1) + 2.0 * s(-1, 0) + s(-1, 1));
-            let gy = (s(-1, 1) + 2.0 * s(0, 1) + s(1, 1)) - (s(-1, -1) + 2.0 * s(0, -1) + s(1, -1));
-            *v = (gx * gx + gy * gy).sqrt();
+        let clamped = |x: usize| sobel_at(|dx, dy| p.get_clamped(x as isize + dx, yi + dy));
+        if y == 0 || y + 1 >= h || w < 3 {
+            for (x, v) in row.iter_mut().enumerate() {
+                *v = clamped(x);
+            }
+            return;
         }
+        let windows = (p.row(y - 1).windows(3))
+            .zip(p.row(y).windows(3))
+            .zip(p.row(y + 1).windows(3));
+        for (v, ((above, at), below)) in row[1..w - 1].iter_mut().zip(windows) {
+            *v = sobel_at(|dx, dy| [above, at, below][(1 + dy) as usize][(1 + dx) as usize]);
+        }
+        row[0] = clamped(0);
+        row[w - 1] = clamped(w - 1);
     });
     Plane::from_vec(w, h, data).expect("rows cover the plane")
 }
@@ -175,6 +197,40 @@ mod tests {
             }
             acc / n
         })
+    }
+
+    /// The all-clamped Sobel loop the row-slice kernel replaced, kept as
+    /// the bit-exact reference.
+    fn sobel_reference(p: &Plane<f32>) -> Plane<f32> {
+        Plane::from_fn(p.width(), p.height(), |x, y| {
+            let (xi, yi) = (x as isize, y as isize);
+            let s = |dx: isize, dy: isize| p.get_clamped(xi + dx, yi + dy);
+            let gx = (s(1, -1) + 2.0 * s(1, 0) + s(1, 1)) - (s(-1, -1) + 2.0 * s(-1, 0) + s(-1, 1));
+            let gy = (s(-1, 1) + 2.0 * s(0, 1) + s(1, 1)) - (s(-1, -1) + 2.0 * s(0, -1) + s(1, -1));
+            (gx * gx + gy * gy).sqrt()
+        })
+    }
+
+    #[test]
+    fn sobel_matches_the_clamped_reference_bitwise() {
+        for (w, h) in [
+            (1, 1),
+            (1, 5),
+            (5, 1),
+            (2, 2),
+            (3, 3),
+            (4, 7),
+            (17, 9),
+            (64, 48),
+        ] {
+            let p = textured(w, h);
+            let bits = |q: &Plane<f32>| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&sobel_magnitude(&p)),
+                bits(&sobel_reference(&p)),
+                "{w}x{h}"
+            );
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub fn zip_map(a: &Plane<f32>, b: &Plane<f32>, f: impl Fn(f32, f32) -> f32 + Syn
     Plane::from_vec(w, h, data).expect("rows cover the plane")
 }
 
-/// Row-parallel [`Plane::downsample_box`]: each output pixel is an
-/// independent `factor x factor` mean with the same accumulation order.
+/// Row-parallel [`Plane::downsample_box`]: each output row runs the same
+/// row kernel ([`Plane::downsample_box_row`]).
 ///
 /// # Panics
 ///
@@ -57,21 +57,10 @@ pub fn downsample_box(p: &Plane<f32>, factor: usize) -> Plane<f32> {
         factor > 0 && w % factor == 0 && h % factor == 0,
         "factor {factor} must divide {w}x{h}"
     );
-    let ow = w / factor;
-    let oh = h / factor;
-    let norm = 1.0 / (factor * factor) as f32;
-    let data = pool::build_rows(ow, oh, 0.0f32, |oy, row| {
-        for (ox, v) in row.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for dy in 0..factor {
-                for dx in 0..factor {
-                    acc += p.get(ox * factor + dx, oy * factor + dy);
-                }
-            }
-            *v = acc * norm;
-        }
+    let data = pool::build_rows(w / factor, h / factor, 0.0f32, |oy, row| {
+        p.downsample_box_row(factor, oy, row);
     });
-    Plane::from_vec(ow, oh, data).expect("rows cover the output plane")
+    Plane::from_vec(w / factor, h / factor, data).expect("rows cover the output plane")
 }
 
 #[cfg(test)]

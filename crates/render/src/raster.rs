@@ -11,7 +11,7 @@
 use crate::camera::Camera;
 use crate::math::{Mat4, Vec3};
 use crate::scene::{Attachment, Scene};
-use crate::texture::{mix, shade, Color, ProceduralTexture};
+use crate::texture::{mix, shade, Color, LatticeMemo, TextureSampler};
 use gss_frame::{DepthMap, Frame, Plane, Rgb8};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -77,37 +77,134 @@ struct PreparedTri<'a> {
     max_x: usize,
     min_y: usize,
     max_y: usize,
-    texture: &'a ProceduralTexture,
+    /// Every vertex lies inside the guard band, so [`row_span`] narrows
+    /// each row to an analytic span; otherwise rows walk the whole box.
+    in_guard_band: bool,
+    texture: TextureSampler<'a>,
     brightness: f32,
 }
 
-/// One color + depth sample of the in-flight framebuffer.
+/// Winner-buffer entry of a pixel no triangle covers.
+const SKY: u32 = u32::MAX;
+
+/// Guard band around the frame, in frame sizes per side. The rounding
+/// bound behind `row_span` assumes the f32 edge products stay finite and
+/// far from overflow, but a near-clipped triangle can project a vertex
+/// arbitrarily far out (its `1/w` grows without bound near the eye). A
+/// triangle with a vertex outside the band therefore walks its whole
+/// bounding box, so no span can miss a pixel whatever its f32 test does.
+const GUARD_BAND: f32 = 2.0;
+
+/// The inclusive column range a triangle's row test walks, `None` when no
+/// column of the row can pass.
+type Span = Option<(usize, usize)>;
+
+/// Parameters of the per-pixel depth test shared by both passes.
 #[derive(Clone, Copy)]
-struct PixelSample {
-    color: Color,
-    depth: f32,
+struct DepthRange {
+    near: f32,
+    span: f32,
+}
+
+/// One image row's output slices, filled by one pool task.
+struct RowOut<'a> {
+    y: &'a mut [f32],
+    cb: &'a mut [f32],
+    cr: &'a mut [f32],
+    depth: &'a mut [f32],
+    /// Index of the triangle that won each pixel's depth test, or [`SKY`].
+    winner: &'a mut [u32],
 }
 
 /// Renders `scene` from `camera` into a `width x height` frame + depth map.
 ///
-/// The pipeline runs in two stages. Vertex processing, primitive assembly,
-/// culling, clipping and projection are serial per-triangle work that
-/// fixes the triangle submission order. Pixel shading then fans out one
-/// scanline per [`gss_platform::pool`] task: every row walks the prepared
-/// triangles in submission order, so each pixel sees the exact depth-test
-/// sequence of the serial rasterizer and the image is bit-identical at
-/// any worker count.
+/// The pipeline runs in three stages:
+///
+/// 1. Vertex processing, primitive assembly, culling, clipping and
+///    projection are serial per-triangle work that fixes the triangle
+///    submission order.
+/// 2. A depth-only *visibility pass* per scanline walks the prepared
+///    triangles in submission order over each one's conservative row span,
+///    runs the per-pixel coverage and depth test, and
+///    records which triangle won each pixel. Every pixel sees the exact
+///    depth-test sequence of a serial rasterizer that shades as it goes,
+///    so the depth buffer and the `pixels_shaded` count are the same.
+/// 3. A *shade pass* then shades each covered pixel once, with its
+///    winner's barycentric expressions evaluated exactly as the
+///    visibility pass did — the color a shade-as-you-go rasterizer
+///    leaves is its last depth-test winner's — and converts the row to
+///    YCbCr straight into the frame planes. Overdrawn pixels no longer
+///    pay for texture sampling and fog.
+///
+/// Passes 2 and 3 run as one [`gss_platform::pool`] task per scanline.
+/// A row's result depends only on the prepared triangle list, never on
+/// which worker runs it or when, so the image is bit-identical at any
+/// worker count.
 ///
 /// # Panics
 ///
 /// Panics when either dimension is zero.
 pub fn render(scene: &Scene, camera: &Camera, width: usize, height: usize) -> RenderOutput {
     assert!(width > 0 && height > 0, "render target must be nonzero");
-    let mut stats = RenderStats::default();
+    let (tris, mut stats) = prepare(scene, camera, width, height);
+    let range = DepthRange {
+        near: camera.near,
+        span: camera.far - camera.near,
+    };
 
+    let n = width * height;
+    let (mut yp, mut cbp, mut crp) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
+    let mut depth = vec![1.0f32; n];
+    let mut winner = vec![SKY; n];
+    let mut rows: Vec<RowOut<'_>> = yp
+        .chunks_mut(width)
+        .zip(cbp.chunks_mut(width))
+        .zip(crp.chunks_mut(width))
+        .zip(depth.chunks_mut(width).zip(winner.chunks_mut(width)))
+        .map(|(((y, cb), cr), (depth, winner))| RowOut {
+            y,
+            cb,
+            cr,
+            depth,
+            winner,
+        })
+        .collect();
+    let shaded = AtomicUsize::new(0);
+    gss_platform::pool::for_each_mut_with(
+        &mut rows,
+        gss_platform::pool::effective_workers(),
+        |py, row| {
+            let count = visibility_row(&tris, py, row.depth, row.winner, range, row_span);
+            shaded.fetch_add(count, Ordering::Relaxed);
+            shade_row(&tris, py, height, scene, row);
+        },
+    );
+    drop(rows);
+    stats.pixels_shaded = shaded.load(Ordering::Relaxed);
+
+    let plane = |data: Vec<f32>| Plane::from_vec(width, height, data).expect("rows cover frame");
+    let frame =
+        Frame::from_planes(plane(yp), plane(cbp), plane(crp)).expect("planes share one size");
+    RenderOutput {
+        frame,
+        depth: DepthMap::from_plane(plane(depth)),
+        stats,
+    }
+}
+
+/// Stage 1 of [`render`]: transforms, culls, clips and projects every
+/// triangle in submission order.
+fn prepare<'s>(
+    scene: &'s Scene,
+    camera: &Camera,
+    width: usize,
+    height: usize,
+) -> (Vec<PreparedTri<'s>>, RenderStats) {
+    let mut stats = RenderStats::default();
     let view = camera.view_matrix();
     let aspect = width as f32 / height as f32;
     let proj = camera.projection_matrix(aspect);
+    let tan_half = (camera.fov_y * 0.5).tan();
     // light direction expressed in view space for camera-attached meshes
     let light_view = view.transform_dir(scene.light_dir).normalized();
 
@@ -117,25 +214,19 @@ pub fn render(scene: &Scene, camera: &Camera, width: usize, height: usize) -> Re
             Attachment::World => (Some(&view), scene.light_dir),
             Attachment::CameraRelative => (None, light_view),
         };
+        let texture = TextureSampler::new(&object.texture);
         for tri in &object.mesh.triangles {
-            let verts = [
-                object.mesh.vertices[tri[0]],
-                object.mesh.vertices[tri[1]],
-                object.mesh.vertices[tri[2]],
-            ];
-            let cv: Vec<ClipVertex> = verts
-                .iter()
-                .map(|v| ClipVertex {
-                    view: match to_view {
-                        Some(m) => m.transform_point(v.position),
-                        None => v.position,
-                    },
-                    uv: v.uv,
-                })
-                .collect();
+            let verts = tri.map(|i| object.mesh.vertices[i]);
+            let cv = verts.map(|v| ClipVertex {
+                view: match to_view {
+                    Some(m) => m.transform_point(v.position),
+                    None => v.position,
+                },
+                uv: v.uv,
+            });
 
             stats.triangles_submitted += 1;
-            if frustum_culled(&cv, camera, aspect) {
+            if frustum_culled(&cv, camera.near, tan_half, aspect) {
                 stats.triangles_culled += 1;
                 continue;
             }
@@ -147,102 +238,34 @@ pub fn render(scene: &Scene, camera: &Camera, width: usize, height: usize) -> Re
             let lambert = normal.dot(light).abs();
             let brightness = scene.ambient + (1.0 - scene.ambient) * lambert;
 
-            for clipped in clip_near(&cv, camera.near) {
+            let (fan, fan_len) = clip_near(&cv, camera.near);
+            for clipped in &fan[..fan_len] {
                 stats.triangles_rasterized += 1;
                 if let Some(prepared) =
-                    setup_triangle(&clipped, &proj, width, height, &object.texture, brightness)
+                    setup_triangle(clipped, &proj, width, height, texture, brightness)
                 {
                     tris.push(prepared);
                 }
             }
         }
     }
-
-    let shaded = AtomicUsize::new(0);
-    let depth_span = camera.far - camera.near;
-    let sky = scene.sky_color;
-    let pixels = gss_platform::pool::build_rows(
-        width,
-        height,
-        PixelSample {
-            color: sky,
-            depth: 1.0,
-        },
-        |y, row| {
-            // subtle vertical sky gradient so the background is not
-            // perfectly flat
-            let t = y as f32 / height as f32;
-            let sky_row = shade(sky, 1.08 - 0.16 * t);
-            for p in row.iter_mut() {
-                p.color = sky_row;
-            }
-            let mut count = 0usize;
-            for tri in &tris {
-                if y >= tri.min_y && y <= tri.max_y {
-                    count += shade_row(tri, y, row, scene, camera.near, depth_span);
-                }
-            }
-            shaded.fetch_add(count, Ordering::Relaxed);
-        },
-    );
-    stats.pixels_shaded = shaded.load(Ordering::Relaxed);
-
-    // color conversion is a pure per-pixel map: convert row-parallel and
-    // assemble the frame from planes (same conversion as `from_rgb_fn`)
-    let rows = gss_platform::pool::map_indexed(height, |y| {
-        let mut yr = Vec::with_capacity(width);
-        let mut cbr = Vec::with_capacity(width);
-        let mut crr = Vec::with_capacity(width);
-        for p in &pixels[y * width..(y + 1) * width] {
-            let c = p.color;
-            let (yy, cb, cr) = Rgb8::new(
-                c[0].round().clamp(0.0, 255.0) as u8,
-                c[1].round().clamp(0.0, 255.0) as u8,
-                c[2].round().clamp(0.0, 255.0) as u8,
-            )
-            .to_ycbcr();
-            yr.push(yy);
-            cbr.push(cb);
-            crr.push(cr);
-        }
-        (yr, cbr, crr)
-    });
-    let mut yp = Vec::with_capacity(width * height);
-    let mut cbp = Vec::with_capacity(width * height);
-    let mut crp = Vec::with_capacity(width * height);
-    for (yr, cbr, crr) in rows {
-        yp.extend(yr);
-        cbp.extend(cbr);
-        crp.extend(crr);
-    }
-    let plane = |data: Vec<f32>| Plane::from_vec(width, height, data).expect("rows cover frame");
-    let frame =
-        Frame::from_planes(plane(yp), plane(cbp), plane(crp)).expect("planes share one size");
-    let depth_data: Vec<f32> = pixels.iter().map(|p| p.depth).collect();
-    let depth = DepthMap::from_plane(
-        Plane::from_vec(width, height, depth_data).expect("buffer matches plane size"),
-    );
-    RenderOutput {
-        frame,
-        depth,
-        stats,
-    }
+    (tris, stats)
 }
 
 /// Conservative view-frustum rejection: a triangle is culled only when all
 /// three vertices are in front of the near plane *and* all lie outside the
 /// same lateral frustum plane (the cheap common case; partial overlaps fall
-/// through to clipping + per-pixel coverage).
-fn frustum_culled(tri: &[ClipVertex], camera: &Camera, aspect: f32) -> bool {
+/// through to clipping + per-pixel coverage). `tan_half` is
+/// `tan(fov_y / 2)`, computed once per frame.
+fn frustum_culled(tri: &[ClipVertex; 3], near: f32, tan_half: f32, aspect: f32) -> bool {
     // everything behind the eye is dropped by near-plane clipping anyway
-    if tri.iter().all(|v| v.view.z > -camera.near) {
+    if tri.iter().all(|v| v.view.z > -near) {
         return true;
     }
     // only cull laterally when all vertices are safely in front (w > 0)
-    if !tri.iter().all(|v| v.view.z <= -camera.near) {
+    if !tri.iter().all(|v| v.view.z <= -near) {
         return false;
     }
-    let tan_half = (camera.fov_y * 0.5).tan();
     let mut out_left = true;
     let mut out_right = true;
     let mut out_top = true;
@@ -259,30 +282,33 @@ fn frustum_culled(tri: &[ClipVertex], camera: &Camera, aspect: f32) -> bool {
 }
 
 /// Sutherland–Hodgman clip of a triangle against the near plane
-/// (`z_view <= -near` is kept), fanned back into triangles.
-fn clip_near(tri: &[ClipVertex], near: f32) -> Vec<[ClipVertex; 3]> {
+/// (`z_view <= -near` is kept), fanned back into triangles. One plane cuts
+/// a triangle into at most a quad, so the fan holds at most two triangles;
+/// the second value says how many of them are real.
+fn clip_near(tri: &[ClipVertex; 3], near: f32) -> ([[ClipVertex; 3]; 2], usize) {
     let inside = |v: &ClipVertex| v.view.z <= -near;
-    let mut poly: Vec<ClipVertex> = Vec::with_capacity(4);
+    let mut poly = [tri[0]; 4];
+    let mut len = 0;
     for i in 0..3 {
         let a = tri[i];
         let b = tri[(i + 1) % 3];
         let a_in = inside(&a);
         let b_in = inside(&b);
         if a_in {
-            poly.push(a);
+            poly[len] = a;
+            len += 1;
         }
         if a_in != b_in {
             // intersection with z = -near
             let t = (-near - a.view.z) / (b.view.z - a.view.z);
-            poly.push(a.lerp(b, t));
+            poly[len] = a.lerp(b, t);
+            len += 1;
         }
     }
-    match poly.len() {
-        0..=2 => Vec::new(),
-        n => (1..n - 1)
-            .map(|i| [poly[0], poly[i], poly[i + 1]])
-            .collect(),
-    }
+    (
+        [[poly[0], poly[1], poly[2]], [poly[0], poly[2], poly[3]]],
+        len.saturating_sub(2),
+    )
 }
 
 #[inline]
@@ -297,7 +323,7 @@ fn setup_triangle<'a>(
     proj: &Mat4,
     width: usize,
     height: usize,
-    texture: &'a ProceduralTexture,
+    texture: TextureSampler<'a>,
     brightness: f32,
 ) -> Option<PreparedTri<'a>> {
     let mut sv = [ScreenVertex {
@@ -355,6 +381,10 @@ fn setup_triangle<'a>(
     if min_x > max_x || min_y > max_y {
         return None;
     }
+    let (gw, gh) = (GUARD_BAND * width as f32, GUARD_BAND * height as f32);
+    let in_guard_band = sv.iter().all(|v| {
+        (-gw..=width as f32 + gw).contains(&v.x) && (-gh..=height as f32 + gh).contains(&v.y)
+    });
     Some(PreparedTri {
         sv,
         inv_area,
@@ -362,58 +392,181 @@ fn setup_triangle<'a>(
         max_x,
         min_y,
         max_y,
+        in_guard_band,
         texture,
         brightness,
     })
 }
 
-/// Shades one scanline of a prepared triangle into `row` (a full image
-/// row), returning the number of pixels that passed the depth test. The
-/// inline depth test mirrors [`DepthMap::test_and_set`].
-fn shade_row(
-    tri: &PreparedTri<'_>,
-    py: usize,
-    row: &mut [PixelSample],
-    scene: &Scene,
-    near: f32,
-    depth_span: f32,
-) -> usize {
-    let sv = &tri.sv;
-    let sy = py as f32 + 0.5;
-    let mut shaded = 0usize;
-    for (px, sample) in row
-        .iter_mut()
-        .enumerate()
-        .take(tri.max_x + 1)
-        .skip(tri.min_x)
-    {
-        let sx = px as f32 + 0.5;
-        let w0 = edge(sv[1].x, sv[1].y, sv[2].x, sv[2].y, sx, sy) * tri.inv_area;
-        let w1 = edge(sv[2].x, sv[2].y, sv[0].x, sv[0].y, sx, sy) * tri.inv_area;
-        let w2 = 1.0 - w0 - w1;
-        if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
-            continue;
-        }
-        let inv_w = w0 * sv[0].inv_w + w1 * sv[1].inv_w + w2 * sv[2].inv_w;
-        if inv_w <= 0.0 {
-            continue;
-        }
-        let dist = 1.0 / inv_w;
-        let d01 = ((dist - near) / depth_span).clamp(0.0, 1.0);
-        if d01 >= sample.depth {
-            continue;
-        }
-        let u = (w0 * sv[0].u_over_w + w1 * sv[1].u_over_w + w2 * sv[2].u_over_w) * dist;
-        let v = (w0 * sv[0].v_over_w + w1 * sv[1].v_over_w + w2 * sv[2].v_over_w) * dist;
-        let lod = (dist / scene.lod_reference_distance).max(1.0).log2();
-        let tex = tri.texture.sample(u, v, lod);
-        let lit = shade(tex, tri.brightness);
-        let fog = 1.0 - (-scene.fog_density * dist).exp();
-        sample.color = mix(lit, scene.sky_color, fog);
-        sample.depth = d01;
-        shaded += 1;
+/// The columns of row `py` that can pass `tri`'s coverage test, or `None`
+/// when none can. Conservative: every pixel outside the span fails the
+/// f32 test in [`covers`] as well.
+///
+/// The test computes `w0 = edge(v1, v2, p) · inv_area`, `w1` likewise and
+/// `w2 = 1 − w0 − w1` in f32 and rejects any negative weight. Along a row
+/// each weight is linear in `sx`, `f(sx) = k·sx + c`, and its f32 value
+/// lies within a bound `m` of it (rounding of the two products and three
+/// differences in `edge`, of the scaling by `inv_area`, and of the two
+/// subtractions behind `w2`). So any `sx` with `f(sx) < −m` is rejected by
+/// the f32 test too; the span keeps `f(sx) ≥ −m` for all three weights and
+/// adds a pixel of slack on each side for this f64 arithmetic itself.
+fn row_span(tri: &PreparedTri<'_>, py: usize) -> Span {
+    if !tri.in_guard_band {
+        return Some((tri.min_x, tri.max_x));
     }
-    shaded
+    // unit roundoff of f32 arithmetic
+    const U: f64 = f32::EPSILON as f64 * 0.5;
+    let sy = py as f64 + 0.5;
+    let ia = tri.inv_area as f64;
+    let (xl, xr) = (tri.min_x as f64 + 0.5, tri.max_x as f64 + 0.5);
+    // (k, c, max |f| over the box, error bound m) of `edge(a, b, p) · inv_area`
+    let weight = |a: &ScreenVertex, b: &ScreenVertex| {
+        let (ax, ay, bx, by) = (a.x as f64, a.y as f64, b.x as f64, b.y as f64);
+        let k = -(by - ay) * ia;
+        let c = ((bx - ax) * (sy - ay) + (by - ay) * ax) * ia;
+        let products = |sx: f64| ((bx - ax) * (sy - ay)).abs() + ((by - ay) * (sx - ax)).abs();
+        let edge_err = 5.0 * U * products(xl).max(products(xr)) * ia.abs();
+        let peak = (k * xl + c).abs().max((k * xr + c).abs());
+        (k, c, peak, 2.0 * U * peak + 2.0 * edge_err)
+    };
+    let sv = &tri.sv;
+    let (k0, c0, p0, m0) = weight(&sv[1], &sv[2]);
+    let (k1, c1, p1, m1) = weight(&sv[2], &sv[0]);
+    let m2 = 2.0 * (m0 + m1) + 4.0 * U * (1.0 + p0 + p1);
+    let (mut lo, mut hi) = (xl, xr);
+    for (k, c, m) in [(k0, c0, m0), (k1, c1, m1), (-k0 - k1, 1.0 - c0 - c1, m2)] {
+        // keep k·sx + c ≥ −m (a NaN leaves the bounds alone)
+        let t = (-m - c) / k;
+        if k > 0.0 {
+            lo = lo.max(t);
+        } else if k < 0.0 {
+            hi = hi.min(t);
+        } else if c < -m {
+            return None;
+        }
+    }
+    let x0 = ((lo - 0.5).ceil() - 1.0).max(tri.min_x as f64);
+    let x1 = ((hi - 0.5).floor() + 1.0).min(tri.max_x as f64);
+    (x0 <= x1).then_some((x0 as usize, x1 as usize))
+}
+
+/// The coverage and perspective terms of pixel center `(sx, sy)` in `tri`:
+/// the barycentric weights and the view distance, or `None` when the
+/// pixel is outside the triangle or behind the eye. Both passes evaluate
+/// exactly these expressions, so they agree bit for bit.
+#[inline(always)]
+fn covers(tri: &PreparedTri<'_>, sx: f32, sy: f32) -> Option<([f32; 3], f32)> {
+    let sv = &tri.sv;
+    let w0 = edge(sv[1].x, sv[1].y, sv[2].x, sv[2].y, sx, sy) * tri.inv_area;
+    let w1 = edge(sv[2].x, sv[2].y, sv[0].x, sv[0].y, sx, sy) * tri.inv_area;
+    let w2 = 1.0 - w0 - w1;
+    if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
+        return None;
+    }
+    let inv_w = w0 * sv[0].inv_w + w1 * sv[1].inv_w + w2 * sv[2].inv_w;
+    if inv_w <= 0.0 {
+        return None;
+    }
+    Some(([w0, w1, w2], 1.0 / inv_w))
+}
+
+/// The visibility pass over row `py`: runs every triangle's coverage and
+/// depth test over the columns `span` yields, in submission order,
+/// keeping the nearest depth and its triangle's index. Returns the number
+/// of depth-test passes. The inline depth test mirrors
+/// [`DepthMap::test_and_set`].
+fn visibility_row(
+    tris: &[PreparedTri<'_>],
+    py: usize,
+    depth: &mut [f32],
+    winner: &mut [u32],
+    range: DepthRange,
+    span: impl Fn(&PreparedTri<'_>, usize) -> Span,
+) -> usize {
+    let sy = py as f32 + 0.5;
+    let mut passed = 0usize;
+    for (id, tri) in tris.iter().enumerate() {
+        if py < tri.min_y || py > tri.max_y {
+            continue;
+        }
+        let Some((x0, x1)) = span(tri, py) else {
+            continue;
+        };
+        for (px, (d, w)) in (x0..=x1).zip(depth[x0..=x1].iter_mut().zip(&mut winner[x0..=x1])) {
+            let Some((_, dist)) = covers(tri, px as f32 + 0.5, sy) else {
+                continue;
+            };
+            let d01 = ((dist - range.near) / range.span).clamp(0.0, 1.0);
+            if d01 >= *d {
+                continue;
+            }
+            *d = d01;
+            *w = id as u32;
+            passed += 1;
+        }
+    }
+    passed
+}
+
+/// The shade pass over row `py`: shades each covered pixel with its
+/// depth-test winner, fills the rest with the row's sky gradient, and
+/// writes the BT.601 YCbCr conversion (the one [`Frame::from_rgb_fn`]
+/// applies) into the frame rows.
+fn shade_row(
+    tris: &[PreparedTri<'_>],
+    py: usize,
+    height: usize,
+    scene: &Scene,
+    row: &mut RowOut<'_>,
+) {
+    // subtle vertical sky gradient so the background is not perfectly flat
+    let t = py as f32 / height as f32;
+    let sky = to_ycbcr(shade(scene.sky_color, 1.08 - 0.16 * t));
+    let sy = py as f32 + 0.5;
+    let mut memo = LatticeMemo::default();
+    let outputs = row
+        .y
+        .iter_mut()
+        .zip(row.cb.iter_mut())
+        .zip(row.cr.iter_mut());
+    for (px, (((y, cb), cr), &id)) in outputs.zip(row.winner.iter()).enumerate() {
+        let ycc = if id == SKY {
+            sky
+        } else {
+            let tri = &tris[id as usize];
+            let ([w0, w1, w2], dist) =
+                covers(tri, px as f32 + 0.5, sy).expect("the winner covers its pixel");
+            let sv = &tri.sv;
+            let u = (w0 * sv[0].u_over_w + w1 * sv[1].u_over_w + w2 * sv[2].u_over_w) * dist;
+            let v = (w0 * sv[0].v_over_w + w1 * sv[1].v_over_w + w2 * sv[2].v_over_w) * dist;
+            let lod = (dist / scene.lod_reference_distance).max(1.0).log2();
+            let tex = tri.texture.sample(u, v, lod, &mut memo);
+            let lit = shade(tex, tri.brightness);
+            let fog = 1.0 - (-scene.fog_density * dist).exp();
+            to_ycbcr(mix(lit, scene.sky_color, fog))
+        };
+        (*y, *cb, *cr) = ycc;
+    }
+}
+
+/// Quantizes a shaded color to 8-bit RGB and converts it to YCbCr.
+fn to_ycbcr(c: Color) -> (f32, f32, f32) {
+    Rgb8::new(to_u8(c[0]), to_u8(c[1]), to_u8(c[2])).to_ycbcr()
+}
+
+/// `c.round().clamp(0.0, 255.0) as u8` without the libm `roundf` call.
+/// Clamping first gives the same byte (rounding is monotone and keeps 0
+/// and 255), and on `[0, 255]` the fraction `c − trunc(c)` is exact, so
+/// rounding half away from zero is one compare. NaN maps to 0 either way.
+#[inline(always)]
+fn to_u8(c: f32) -> u8 {
+    let c = c.clamp(0.0, 255.0);
+    let t = c as u8;
+    if c - t as f32 >= 0.5 {
+        t + 1
+    } else {
+        t
+    }
 }
 
 #[cfg(test)]
@@ -422,6 +575,7 @@ mod tests {
     use crate::math::vec3;
     use crate::mesh::Mesh;
     use crate::scene::Object;
+    use crate::texture::ProceduralTexture;
 
     fn box_scene(z: f32) -> Scene {
         Scene::new().with(Object::world(
@@ -432,6 +586,22 @@ mod tests {
                 scale: 4.0,
             },
         ))
+    }
+
+    #[test]
+    fn to_u8_matches_round_then_clamp() {
+        let mut probes = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e9, -1e9];
+        for i in -2000..=260_000 {
+            let c = i as f32 * 0.001 - 0.6;
+            probes.extend([c, c.next_up(), c.next_down()]);
+        }
+        for k in 0..=256 {
+            let half = k as f32 - 0.5;
+            probes.extend([half, half.next_up(), half.next_down()]);
+        }
+        for c in probes {
+            assert_eq!(to_u8(c), c.round().clamp(0.0, 255.0) as u8, "{c:e}");
+        }
     }
 
     #[test]
@@ -645,6 +815,62 @@ mod culling_tests {
             "only {}/{} culled",
             s.triangles_culled,
             s.triangles_submitted
+        );
+    }
+}
+
+#[cfg(test)]
+mod span_tests {
+    use super::*;
+    use crate::scenes::{GameId, GameWorkload};
+
+    #[test]
+    fn row_spans_keep_every_covered_pixel_and_the_depth_result() {
+        // frame 0 of every game at 640x360: the span walk must pass exactly
+        // the pixels the full bounding-box walk passes
+        let (width, height) = (640, 360);
+        let full_box = |tri: &PreparedTri<'_>, _: usize| Some((tri.min_x, tri.max_x));
+        let (mut fallbacks, mut span_px, mut box_px) = (0usize, 0usize, 0usize);
+        for id in GameId::ALL {
+            let workload = GameWorkload::new(id);
+            let camera = workload.path().camera_at(0);
+            let (tris, _) = prepare(workload.scene(), &camera, width, height);
+            fallbacks += tris.iter().filter(|t| !t.in_guard_band).count();
+            for tri in &tris {
+                for py in tri.min_y..=tri.max_y {
+                    let sy = py as f32 + 0.5;
+                    let span = row_span(tri, py);
+                    for px in tri.min_x..=tri.max_x {
+                        if covers(tri, px as f32 + 0.5, sy).is_some() {
+                            let (x0, x1) = span.expect("a covered row has a span");
+                            assert!((x0..=x1).contains(&px), "{id:?}: ({px},{py}) outside span");
+                        }
+                    }
+                    span_px += span.map_or(0, |(x0, x1)| x1 - x0 + 1);
+                    box_px += tri.max_x - tri.min_x + 1;
+                }
+            }
+            let range = DepthRange {
+                near: camera.near,
+                span: camera.far - camera.near,
+            };
+            for py in 0..height {
+                let walk = |span: &dyn Fn(&PreparedTri<'_>, usize) -> Span| {
+                    let (mut depth, mut winner) = (vec![1.0f32; width], vec![SKY; width]);
+                    let passed = visibility_row(&tris, py, &mut depth, &mut winner, range, span);
+                    let depth: Vec<u32> = depth.iter().map(|d| d.to_bits()).collect();
+                    (passed, depth, winner)
+                };
+                assert_eq!(walk(&row_span), walk(&full_box), "{id:?} row {py}");
+            }
+        }
+        assert!(
+            fallbacks > 0,
+            "no triangle exercised the guard-band fallback"
+        );
+        assert!(
+            span_px * 10 < box_px * 9,
+            "spans {span_px} vs boxes {box_px}"
         );
     }
 }

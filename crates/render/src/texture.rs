@@ -29,6 +29,22 @@ pub fn shade(c: Color, k: f32) -> Color {
     ]
 }
 
+/// `x.floor()`, bit for bit, without the libm call the baseline x86-64
+/// target makes for it (value noise floors twice per octave per pixel).
+/// Below 2^23 in magnitude a float may have a fraction: truncating through
+/// `i32` and stepping down when that rounded up gives the floor, and
+/// `copysign` keeps `floor(-0.0) = -0.0`. Larger magnitudes, infinities
+/// and NaN are their own floor.
+#[inline(always)]
+pub(crate) fn floor(x: f32) -> f32 {
+    if x.abs() < 8_388_608.0 {
+        let t = x as i32 as f32;
+        (if t > x { t - 1.0 } else { t }).copysign(x)
+    } else {
+        x
+    }
+}
+
 /// Deterministic lattice hash → `[0, 1)`.
 fn hash2(x: i64, y: i64, seed: u64) -> f32 {
     let mut h = seed
@@ -41,19 +57,55 @@ fn hash2(x: i64, y: i64, seed: u64) -> f32 {
     (h >> 40) as f32 / (1u64 << 24) as f32
 }
 
-/// Smoothly interpolated value noise at one frequency.
-fn value_noise(u: f32, v: f32, seed: u64) -> f32 {
-    let x0 = u.floor();
-    let y0 = v.floor();
+/// One lattice cell's four corner hashes, remembered by [`LatticeMemo`].
+#[derive(Debug, Clone, Copy)]
+struct LatticeCell {
+    x: i64,
+    y: i64,
+    seed: u64,
+    corners: [f32; 4],
+}
+
+/// Octave slots kept by a [`LatticeMemo`]; the game textures use at most
+/// six (`octaves` 5 plus the fractional one), and deeper octaves share
+/// slots, which only costs hits.
+const MEMO_SLOTS: usize = 8;
+
+/// The last lattice cell each noise octave hashed. Neighbouring pixels of a
+/// scanline mostly fall in the same cell of the low-frequency octaves, so a
+/// row-long memo skips most [`hash2`] calls. A hit returns exactly the
+/// hashes a miss would compute, so sampling is unchanged by its state.
+#[derive(Debug, Default)]
+pub(crate) struct LatticeMemo([Option<LatticeCell>; MEMO_SLOTS]);
+
+/// Smoothly interpolated value noise at one frequency; `memo` is the
+/// octave's [`LatticeMemo`] slot.
+fn value_noise(u: f32, v: f32, seed: u64, memo: &mut Option<LatticeCell>) -> f32 {
+    let x0 = floor(u);
+    let y0 = floor(v);
     let fx = u - x0;
     let fy = v - y0;
     let sx = fx * fx * (3.0 - 2.0 * fx);
     let sy = fy * fy * (3.0 - 2.0 * fy);
     let (xi, yi) = (x0 as i64, y0 as i64);
-    let n00 = hash2(xi, yi, seed);
-    let n10 = hash2(xi + 1, yi, seed);
-    let n01 = hash2(xi, yi + 1, seed);
-    let n11 = hash2(xi + 1, yi + 1, seed);
+    let [n00, n10, n01, n11] = match *memo {
+        Some(c) if c.x == xi && c.y == yi && c.seed == seed => c.corners,
+        _ => {
+            let corners = [
+                hash2(xi, yi, seed),
+                hash2(xi + 1, yi, seed),
+                hash2(xi, yi + 1, seed),
+                hash2(xi + 1, yi + 1, seed),
+            ];
+            *memo = Some(LatticeCell {
+                x: xi,
+                y: yi,
+                seed,
+                corners,
+            });
+            corners
+        }
+    };
     let a = n00 + (n10 - n00) * sx;
     let b = n01 + (n11 - n01) * sx;
     a + (b - a) * sy
@@ -116,77 +168,7 @@ impl ProceduralTexture {
     /// levels blend continuously). Level 0 is full detail; each additional
     /// level halves the surviving detail, mirroring a real mip chain.
     pub fn sample(&self, u: f32, v: f32, lod: f32) -> Color {
-        let lod = lod.max(0.0);
-        // detail attenuation: like averaging a 2^lod x 2^lod texel footprint
-        let detail = 0.5f32.powf(lod);
-        match *self {
-            ProceduralTexture::Solid(c) => c,
-            ProceduralTexture::Checker { a, b, scale } => {
-                let cell = ((u * scale).floor() as i64 + (v * scale).floor() as i64).rem_euclid(2);
-                let sharp = if cell == 0 { a } else { b };
-                mix(self.mean_color(), sharp, detail)
-            }
-            ProceduralTexture::Noise {
-                base,
-                amplitude,
-                octaves,
-                frequency,
-                seed,
-            } => {
-                // drop one octave per mip level, exactly like prefiltering
-                let eff_octaves = (octaves as f32 - lod).max(0.0);
-                let full = eff_octaves.floor() as u32;
-                let frac = eff_octaves - full as f32;
-                // normalization uses the FULL octave budget so that dropping
-                // octaves strictly removes energy (as prefiltering does)
-                let mut norm = 0.0f32;
-                let mut amp = 1.0f32;
-                for _ in 0..octaves.max(1) {
-                    norm += amp;
-                    amp *= 0.55;
-                }
-                let mut amp = 1.0f32;
-                let mut freq = frequency;
-                let mut total = 0.0f32;
-                for o in 0..=full.min(octaves) {
-                    let w = if o == full { frac } else { 1.0 } * amp;
-                    if w > 0.0 {
-                        total += w
-                            * (value_noise(u * freq, v * freq, seed.wrapping_add(o as u64)) - 0.5);
-                    }
-                    amp *= 0.55;
-                    freq *= 2.1;
-                }
-                let n = total / norm;
-                shade(base, 1.0 + 2.0 * amplitude * n)
-            }
-            ProceduralTexture::Bricks {
-                brick,
-                mortar,
-                scale,
-                seed,
-            } => {
-                let row = (v * scale * 0.5).floor();
-                let offset = if (row as i64).rem_euclid(2) == 0 {
-                    0.0
-                } else {
-                    0.5
-                };
-                let bu = u * scale + offset;
-                let bv = v * scale * 0.5;
-                let fu = bu - bu.floor();
-                let fv = bv - bv.floor();
-                let mortar_w = 0.06;
-                let is_mortar = fu < mortar_w || fv < mortar_w * 2.0;
-                let tint = 0.85 + 0.3 * hash2(bu.floor() as i64, bv.floor() as i64, seed);
-                let sharp = if is_mortar {
-                    mortar
-                } else {
-                    shade(brick, tint)
-                };
-                mix(self.mean_color(), sharp, detail)
-            }
-        }
+        TextureSampler::new(self).sample(u, v, lod, &mut LatticeMemo::default())
     }
 
     /// Detail energy at a LOD: mean absolute deviation from the mean color,
@@ -205,6 +187,105 @@ impl ProceduralTexture {
             }
         }
         acc / (n * n * 3) as f32
+    }
+}
+
+/// A texture with its per-texture constants hoisted out of the per-pixel
+/// path: the mean color and the fBm normalization of `Noise`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TextureSampler<'a> {
+    texture: &'a ProceduralTexture,
+    mean: Color,
+    /// Amplitude sum over the full octave budget (`Noise` only).
+    norm: f32,
+}
+
+impl<'a> TextureSampler<'a> {
+    pub(crate) fn new(texture: &'a ProceduralTexture) -> Self {
+        let mut norm = 0.0f32;
+        if let ProceduralTexture::Noise { octaves, .. } = *texture {
+            // normalization uses the FULL octave budget so that dropping
+            // octaves strictly removes energy (as prefiltering does)
+            let mut amp = 1.0f32;
+            for _ in 0..octaves.max(1) {
+                norm += amp;
+                amp *= 0.55;
+            }
+        }
+        TextureSampler {
+            texture,
+            mean: texture.mean_color(),
+            norm,
+        }
+    }
+
+    /// [`ProceduralTexture::sample`] through a caller-held lattice memo.
+    pub(crate) fn sample(&self, u: f32, v: f32, lod: f32, memo: &mut LatticeMemo) -> Color {
+        let lod = lod.max(0.0);
+        // detail attenuation: like averaging a 2^lod x 2^lod texel footprint
+        let detail = || 0.5f32.powf(lod);
+        match *self.texture {
+            ProceduralTexture::Solid(c) => c,
+            ProceduralTexture::Checker { a, b, scale } => {
+                let cell = (floor(u * scale) as i64 + floor(v * scale) as i64).rem_euclid(2);
+                let sharp = if cell == 0 { a } else { b };
+                mix(self.mean, sharp, detail())
+            }
+            ProceduralTexture::Noise {
+                base,
+                amplitude,
+                octaves,
+                frequency,
+                seed,
+            } => {
+                // drop one octave per mip level, exactly like prefiltering
+                let eff_octaves = (octaves as f32 - lod).max(0.0);
+                let full = floor(eff_octaves) as u32;
+                let frac = eff_octaves - full as f32;
+                let mut amp = 1.0f32;
+                let mut freq = frequency;
+                let mut total = 0.0f32;
+                for o in 0..=full.min(octaves) {
+                    let w = if o == full { frac } else { 1.0 } * amp;
+                    if w > 0.0 {
+                        let slot = &mut memo.0[o as usize % MEMO_SLOTS];
+                        total += w
+                            * (value_noise(u * freq, v * freq, seed.wrapping_add(o as u64), slot)
+                                - 0.5);
+                    }
+                    amp *= 0.55;
+                    freq *= 2.1;
+                }
+                let n = total / self.norm;
+                shade(base, 1.0 + 2.0 * amplitude * n)
+            }
+            ProceduralTexture::Bricks {
+                brick,
+                mortar,
+                scale,
+                seed,
+            } => {
+                let row = floor(v * scale * 0.5);
+                let offset = if (row as i64).rem_euclid(2) == 0 {
+                    0.0
+                } else {
+                    0.5
+                };
+                let bu = u * scale + offset;
+                let bv = v * scale * 0.5;
+                let fu = bu - floor(bu);
+                let fv = bv - floor(bv);
+                let mortar_w = 0.06;
+                let is_mortar = fu < mortar_w || fv < mortar_w * 2.0;
+                let tint = 0.85 + 0.3 * hash2(floor(bu) as i64, floor(bv) as i64, seed);
+                let sharp = if is_mortar {
+                    mortar
+                } else {
+                    shade(brick, tint)
+                };
+                mix(self.mean, sharp, detail())
+            }
+        }
     }
 }
 
@@ -233,6 +314,44 @@ mod tests {
                 seed: 3,
             },
         ]
+    }
+
+    #[test]
+    fn inline_floor_matches_libm_bitwise() {
+        let mut probes = vec![
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            0.999_999_94,
+            -0.999_999_94,
+            8_388_607.5,
+            -8_388_607.5,
+            8_388_608.0,
+            -8_388_609.0,
+            1e10,
+            -1e10,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+        ];
+        // a sweep across magnitudes, with neighbours of each value
+        let mut x = 1e-6f32;
+        while x < 1e9 {
+            for v in [x, -x, x.next_up(), x.next_down(), -x.next_up()] {
+                probes.push(v);
+            }
+            x *= 1.37;
+        }
+        for v in probes {
+            assert_eq!(floor(v).to_bits(), v.floor().to_bits(), "floor({v:e})");
+        }
+        assert!(floor(f32::NAN).is_nan());
     }
 
     #[test]

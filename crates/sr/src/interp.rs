@@ -112,71 +112,114 @@ enum Axis {
     Y,
 }
 
-fn resample_axis(src: &Plane<f32>, out_len: usize, kernel: InterpKernel, axis: Axis) -> Plane<f32> {
-    let (sw, sh) = src.size();
-    let (src_len, other_len) = match axis {
-        Axis::X => (sw, sh),
-        Axis::Y => (sh, sw),
-    };
-    let scale = src_len as f32 / out_len as f32;
-    // when minifying, widen the kernel to act as a low-pass filter
-    let filter_scale = scale.max(1.0);
-    let support = kernel.support() * filter_scale;
+/// One output coordinate's window: `len` weights starting at
+/// `weights[first]`, applied to source samples `start, start + 1, …`
+/// (border-replicated outside the source).
+#[derive(Clone, Copy)]
+struct Tap {
+    start: isize,
+    first: usize,
+    len: usize,
+}
 
-    // precompute per-output-coordinate taps
-    let mut taps: Vec<(isize, Vec<f32>)> = Vec::with_capacity(out_len);
-    for o in 0..out_len {
-        let center = (o as f32 + 0.5) * scale - 0.5;
-        let start = (center - support).ceil() as isize;
-        let end = (center + support).floor() as isize;
-        let mut weights = Vec::with_capacity((end - start + 1).max(1) as usize);
-        let mut sum = 0.0f32;
-        for i in start..=end {
-            let w = kernel.weight((i as f32 - center) / filter_scale);
-            weights.push(w);
-            sum += w;
-        }
-        if sum.abs() < f32::EPSILON {
-            // degenerate window (can happen for nearest at exact midpoints)
-            weights = vec![1.0];
-            taps.push(((center.round() as isize), weights));
-        } else {
-            for w in &mut weights {
-                *w /= sum;
+/// Per-output-coordinate taps of one axis, in one flat weight table.
+struct Taps {
+    taps: Vec<Tap>,
+    weights: Vec<f32>,
+}
+
+impl Taps {
+    fn new(src_len: usize, out_len: usize, kernel: InterpKernel) -> Taps {
+        let scale = src_len as f32 / out_len as f32;
+        // when minifying, widen the kernel to act as a low-pass filter
+        let filter_scale = scale.max(1.0);
+        let support = kernel.support() * filter_scale;
+        let mut taps = Vec::with_capacity(out_len);
+        let mut weights = Vec::new();
+        for o in 0..out_len {
+            let center = (o as f32 + 0.5) * scale - 0.5;
+            let start = (center - support).ceil() as isize;
+            let end = (center + support).floor() as isize;
+            let first = weights.len();
+            let mut sum = 0.0f32;
+            for i in start..=end {
+                let w = kernel.weight((i as f32 - center) / filter_scale);
+                weights.push(w);
+                sum += w;
             }
-            taps.push((start, weights));
+            if sum.abs() < f32::EPSILON {
+                // degenerate window (can happen for nearest at exact midpoints)
+                weights.truncate(first);
+                weights.push(1.0);
+                taps.push(Tap {
+                    start: center.round() as isize,
+                    first,
+                    len: 1,
+                });
+            } else {
+                for w in &mut weights[first..] {
+                    *w /= sum;
+                }
+                taps.push(Tap {
+                    start,
+                    first,
+                    len: weights.len() - first,
+                });
+            }
         }
+        Taps { taps, weights }
     }
 
-    // output rows are independent, so they fill in parallel through the
-    // deterministic pool (identical taps ⇒ bit-identical output at any
-    // worker count)
+    fn weights(&self, tap: &Tap) -> &[f32] {
+        &self.weights[tap.first..tap.first + tap.len]
+    }
+}
+
+/// Resamples one axis. Each output sample is `Σ_k w_k · src[start + k]`,
+/// accumulated from `0.0` in tap order `k = 0, 1, …` on both axes — the
+/// X pass per pixel over a row slice (clamping only windows that cross a
+/// border), the Y pass tap-outer and pixel-inner over whole source rows,
+/// which performs every pixel's additions in the same order and
+/// vectorizes. Rows fill in parallel through the deterministic pool, so
+/// the output is bit-identical at any worker count.
+fn resample_axis(src: &Plane<f32>, out_len: usize, kernel: InterpKernel, axis: Axis) -> Plane<f32> {
+    let (sw, sh) = src.size();
     match axis {
         Axis::X => {
-            let data = gss_platform::pool::build_rows(out_len, other_len, 0.0f32, |y, row| {
-                for (ox, out) in row.iter_mut().enumerate() {
-                    let (start, ws) = &taps[ox];
+            let taps = Taps::new(sw, out_len, kernel);
+            let data = gss_platform::pool::build_rows(out_len, sh, 0.0f32, |y, row| {
+                let line = src.row(y);
+                for (out, tap) in row.iter_mut().zip(&taps.taps) {
+                    let ws = taps.weights(tap);
                     let mut acc = 0.0f32;
-                    for (k, &w) in ws.iter().enumerate() {
-                        acc += w * src.get_clamped(start + k as isize, y as isize);
+                    if tap.start >= 0 && tap.start as usize + tap.len <= sw {
+                        let start = tap.start as usize;
+                        for (&w, &v) in ws.iter().zip(&line[start..start + tap.len]) {
+                            acc += w * v;
+                        }
+                    } else {
+                        for (k, &w) in ws.iter().enumerate() {
+                            let x = (tap.start + k as isize).clamp(0, sw as isize - 1);
+                            acc += w * line[x as usize];
+                        }
                     }
                     *out = acc;
                 }
             });
-            Plane::from_vec(out_len, other_len, data).expect("row buffer matches plane size")
+            Plane::from_vec(out_len, sh, data).expect("row buffer matches plane size")
         }
         Axis::Y => {
-            let data = gss_platform::pool::build_rows(other_len, out_len, 0.0f32, |oy, row| {
-                let (start, ws) = &taps[oy];
-                for (x, out) in row.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (k, &w) in ws.iter().enumerate() {
-                        acc += w * src.get_clamped(x as isize, start + k as isize);
+            let taps = Taps::new(sh, out_len, kernel);
+            let data = gss_platform::pool::build_rows(sw, out_len, 0.0f32, |oy, row| {
+                let tap = &taps.taps[oy];
+                for (k, &w) in taps.weights(tap).iter().enumerate() {
+                    let y = (tap.start + k as isize).clamp(0, sh as isize - 1);
+                    for (out, &v) in row.iter_mut().zip(src.row(y as usize)) {
+                        *out += w * v;
                     }
-                    *out = acc;
                 }
             });
-            Plane::from_vec(other_len, out_len, data).expect("row buffer matches plane size")
+            Plane::from_vec(sw, out_len, data).expect("row buffer matches plane size")
         }
     }
 }
@@ -238,6 +281,110 @@ impl Upscaler for InterpUpscaler {
             plane.height() * self.scale,
             self.kernel,
         )
+    }
+}
+
+/// The per-sample `get_clamped` resampler the row-slice kernel replaced,
+/// kept verbatim as the bit-exact reference for [`resample_axis`].
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    fn resample_axis_reference(
+        src: &Plane<f32>,
+        out_len: usize,
+        kernel: InterpKernel,
+        axis: Axis,
+    ) -> Plane<f32> {
+        let (sw, sh) = src.size();
+        let (src_len, other_len) = match axis {
+            Axis::X => (sw, sh),
+            Axis::Y => (sh, sw),
+        };
+        let scale = src_len as f32 / out_len as f32;
+        let filter_scale = scale.max(1.0);
+        let support = kernel.support() * filter_scale;
+
+        let mut taps: Vec<(isize, Vec<f32>)> = Vec::with_capacity(out_len);
+        for o in 0..out_len {
+            let center = (o as f32 + 0.5) * scale - 0.5;
+            let start = (center - support).ceil() as isize;
+            let end = (center + support).floor() as isize;
+            let mut weights = Vec::with_capacity((end - start + 1).max(1) as usize);
+            let mut sum = 0.0f32;
+            for i in start..=end {
+                let w = kernel.weight((i as f32 - center) / filter_scale);
+                weights.push(w);
+                sum += w;
+            }
+            if sum.abs() < f32::EPSILON {
+                weights = vec![1.0];
+                taps.push(((center.round() as isize), weights));
+            } else {
+                for w in &mut weights {
+                    *w /= sum;
+                }
+                taps.push((start, weights));
+            }
+        }
+
+        match axis {
+            Axis::X => Plane::from_fn(out_len, other_len, |ox, y| {
+                let (start, ws) = &taps[ox];
+                let mut acc = 0.0f32;
+                for (k, &w) in ws.iter().enumerate() {
+                    acc += w * src.get_clamped(start + k as isize, y as isize);
+                }
+                acc
+            }),
+            Axis::Y => Plane::from_fn(other_len, out_len, |x, oy| {
+                let (start, ws) = &taps[oy];
+                let mut acc = 0.0f32;
+                for (k, &w) in ws.iter().enumerate() {
+                    acc += w * src.get_clamped(x as isize, start + k as isize);
+                }
+                acc
+            }),
+        }
+    }
+
+    fn bits(p: &Plane<f32>) -> Vec<u32> {
+        p.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_slice_resampler_matches_the_clamped_reference_bitwise() {
+        let kernels = [
+            InterpKernel::Nearest,
+            InterpKernel::Bilinear,
+            InterpKernel::Bicubic,
+            InterpKernel::Lanczos3,
+        ];
+        for src_len in 1..40usize {
+            // a 3-sample cross section with structure on both axes
+            let along_x = Plane::from_fn(src_len, 3, |x, y| {
+                ((x * 37 + y * 11) % 29) as f32 * 8.5 - (x % 3) as f32 * 0.37
+            });
+            let along_y = Plane::from_fn(3, src_len, |x, y| along_x.get(y, x));
+            for out_len in 1..40usize {
+                for kernel in kernels {
+                    let fast = resample_axis(&along_x, out_len, kernel, Axis::X);
+                    let reference = resample_axis_reference(&along_x, out_len, kernel, Axis::X);
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&reference),
+                        "X {kernel:?} {src_len}->{out_len}"
+                    );
+                    let fast = resample_axis(&along_y, out_len, kernel, Axis::Y);
+                    let reference = resample_axis_reference(&along_y, out_len, kernel, Axis::Y);
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&reference),
+                        "Y {kernel:?} {src_len}->{out_len}"
+                    );
+                }
+            }
+        }
     }
 }
 

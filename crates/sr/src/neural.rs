@@ -91,15 +91,16 @@ impl Upscaler for NeuralSr {
         let mut estimate = resize_plane(plane, hw, hh, InterpKernel::Bicubic);
 
         // 2. iterative back-projection against the box degradation operator
+        // (residual and correction update their buffers in place)
         for _ in 0..self.config.iterations {
-            let simulated_lr = estimate.downsample_box(s);
-            let residual = plane
-                .zip_map(&simulated_lr, |obs, sim| obs - sim)
-                .expect("downsample restores LR size");
+            let mut residual = estimate.downsample_box(s);
+            for (sim, &obs) in residual.iter_mut().zip(plane.iter()) {
+                *sim = obs - *sim;
+            }
             let residual_hr = resize_plane(&residual, hw, hh, InterpKernel::Bicubic);
-            estimate = estimate
-                .zip_map(&residual_hr, |e, r| e + self.config.damping * r)
-                .expect("sizes match");
+            for (e, &r) in estimate.iter_mut().zip(residual_hr.iter()) {
+                *e += self.config.damping * r;
+            }
         }
 
         // 3. detail restoration: mild unsharp mask approximating the
