@@ -8,9 +8,7 @@ use crate::intra::decode_plane_intra;
 use crate::motion::{compensate, MotionField, MotionVector, MB_SIZE};
 use crate::quant::QuantMatrix;
 use crate::CodecError;
-use gss_frame::Frame;
-#[cfg(test)]
-use gss_frame::Plane;
+use gss_frame::{Frame, Plane};
 use gss_platform::plane_ops;
 
 /// Codec internals exposed per decoded frame.
@@ -23,14 +21,38 @@ pub enum DecodeDetail {
     /// The frame was self-contained.
     Intra,
     /// The frame was predicted; carries the transmitted motion field and
-    /// the decoded residual (luma at coded size, chroma upsampled).
+    /// the decoded residual on the coded grid.
     Inter {
         /// Per-macroblock motion vectors.
         motion: MotionField,
-        /// Decoded residual as a full-resolution frame (chroma upsampled
-        /// from the 4:2:0 grid; `Y` plane residual is exact).
-        residual: Frame,
+        /// Decoded residual planes (luma at coded size, chroma 4:2:0).
+        residual: Residual,
     },
+}
+
+/// The decoded residual of an inter frame on the coded grid: the luma
+/// plane at the coded size and both chroma planes at half size, as the
+/// bitstream carries them. Only NEMO-style consumers need it as a picture,
+/// so the full-size frame is built on request by [`Residual::into_frame`].
+#[derive(Debug, Clone)]
+pub struct Residual {
+    y: Plane<f32>,
+    cb: Plane<f32>,
+    cr: Plane<f32>,
+}
+
+impl Residual {
+    /// The residual as a full-resolution frame: the luma residual is
+    /// exact, the chroma residuals are upsampled bilinearly from the 4:2:0
+    /// grid.
+    pub fn into_frame(self) -> Frame {
+        Frame::from_planes(
+            self.y,
+            upsample2_bilinear(&self.cb),
+            upsample2_bilinear(&self.cr),
+        )
+        .expect("plane sizes agree")
+    }
 }
 
 /// A decoded frame plus its codec-internal detail.
@@ -139,11 +161,11 @@ pub(crate) fn decode_intra_payload(packet: &EncodedFrame) -> Result<Frame, Codec
 }
 
 /// Decodes an inter payload against `reference`, returning the
-/// reconstruction, the motion field and the residual frame.
+/// reconstruction, the motion field and the residual on the coded grid.
 pub(crate) fn decode_inter_payload(
     packet: &EncodedFrame,
     reference: &Frame,
-) -> Result<(Frame, MotionField, Frame), CodecError> {
+) -> Result<(Frame, MotionField, Residual), CodecError> {
     let (w, h) = (packet.width, packet.height);
     let mb_cols = w.div_ceil(MB_SIZE);
     let mb_rows = h.div_ceil(MB_SIZE);
@@ -196,12 +218,11 @@ pub(crate) fn decode_inter_payload(
         upsample2_bilinear(&cr_half),
     )
     .expect("plane sizes agree");
-    let residual = Frame::from_planes(
-        res_y,
-        upsample2_bilinear(&res_cb),
-        upsample2_bilinear(&res_cr),
-    )
-    .expect("plane sizes agree");
+    let residual = Residual {
+        y: res_y,
+        cb: res_cb,
+        cr: res_cr,
+    };
     Ok((frame, motion, residual))
 }
 
@@ -282,7 +303,7 @@ mod tests {
         match d.detail {
             DecodeDetail::Inter { motion, residual } => {
                 assert_eq!(motion.grid(), (4, 3));
-                assert_eq!(residual.size(), (64, 48));
+                assert_eq!(residual.into_frame().size(), (64, 48));
                 // content moves left 2 px/frame, so motion should be nonzero
                 assert!(motion.mean_magnitude() > 0.5, "{}", motion.mean_magnitude());
             }

@@ -131,6 +131,12 @@ impl Encoder {
         self.config
     }
 
+    /// The encoder's reference: the reconstruction of the last coded frame
+    /// (what a decoder of the same stream holds), if any.
+    pub fn reference(&self) -> Option<&Frame> {
+        self.reference.as_ref()
+    }
+
     /// `true` when the next [`Encoder::encode`] call will emit a keyframe.
     pub fn next_is_keyframe(&self) -> bool {
         self.reference.is_none() || self.frame_count.is_multiple_of(self.config.gop_size as u64)
@@ -318,25 +324,33 @@ pub(crate) fn halved(motion: &MotionField) -> MotionField {
 }
 
 /// Bilinear 2x upsampling used to restore 4:2:0 chroma to full resolution.
-/// Row-parallel; every output pixel is an independent 4-tap blend, so the
-/// result is bit-identical at any worker count.
-pub(crate) fn upsample2_bilinear(p: &Plane<f32>) -> Plane<f32> {
+///
+/// Output pixel `(x, y)` samples source position `((x + ½)/2 − ½, (y + ½)/2 − ½)`
+/// and blends its four clamped neighbours. The clamped source columns and
+/// horizontal weights depend only on `x`, so they are tabulated once per
+/// call; each output row then reads two source row slices. The blend is
+/// the same four-term expression in the same order as a per-pixel clamped
+/// read, so the result is unchanged bit for bit. Row-parallel; every
+/// output pixel is independent, so the result is bit-identical at any
+/// worker count.
+pub fn upsample2_bilinear(p: &Plane<f32>) -> Plane<f32> {
     let (w, h) = p.size();
     let (ow, oh) = (w * 2, h * 2);
+    // source coordinate of output index `i`: its floor (clamped to the
+    // plane) for the first tap, the next index (clamped) for the second,
+    // and the fraction
+    let taps = |i: usize, n: usize| {
+        let s = (i as f32 + 0.5) * 0.5 - 0.5;
+        let i0 = s.floor();
+        let clamp = |i: isize| i.clamp(0, n as isize - 1) as usize;
+        (clamp(i0 as isize), clamp(i0 as isize + 1), s - i0)
+    };
+    let columns: Vec<(usize, usize, f32)> = (0..ow).map(|x| taps(x, w)).collect();
     let data = gss_platform::pool::build_rows(ow, oh, 0.0f32, |y, row| {
-        let sy = (y as f32 + 0.5) * 0.5 - 0.5;
-        let y0 = sy.floor();
-        let fy = sy - y0;
-        let yi = y0 as isize;
-        for (x, v) in row.iter_mut().enumerate() {
-            let sx = (x as f32 + 0.5) * 0.5 - 0.5;
-            let x0 = sx.floor();
-            let fx = sx - x0;
-            let xi = x0 as isize;
-            let a = p.get_clamped(xi, yi);
-            let b = p.get_clamped(xi + 1, yi);
-            let c = p.get_clamped(xi, yi + 1);
-            let d = p.get_clamped(xi + 1, yi + 1);
+        let (y0, y1, fy) = taps(y, h);
+        let (r0, r1) = (p.row(y0), p.row(y1));
+        for (v, &(x0, x1, fx)) in row.iter_mut().zip(&columns) {
+            let (a, b, c, d) = (r0[x0], r0[x1], r1[x0], r1[x1]);
             *v = a * (1.0 - fx) * (1.0 - fy)
                 + b * fx * (1.0 - fy)
                 + c * (1.0 - fx) * fy
@@ -446,6 +460,52 @@ mod tests {
             inter.size_bytes(),
             intra.size_bytes()
         );
+    }
+
+    /// The per-pixel clamped-read upsampler the row-slice kernel replaced,
+    /// kept verbatim as the bit-exact reference.
+    fn upsample2_bilinear_reference(p: &Plane<f32>) -> Plane<f32> {
+        let (w, h) = p.size();
+        let (ow, oh) = (w * 2, h * 2);
+        let data = gss_platform::pool::build_rows(ow, oh, 0.0f32, |y, row| {
+            let sy = (y as f32 + 0.5) * 0.5 - 0.5;
+            let y0 = sy.floor();
+            let fy = sy - y0;
+            let yi = y0 as isize;
+            for (x, v) in row.iter_mut().enumerate() {
+                let sx = (x as f32 + 0.5) * 0.5 - 0.5;
+                let x0 = sx.floor();
+                let fx = sx - x0;
+                let xi = x0 as isize;
+                let a = p.get_clamped(xi, yi);
+                let b = p.get_clamped(xi + 1, yi);
+                let c = p.get_clamped(xi, yi + 1);
+                let d = p.get_clamped(xi + 1, yi + 1);
+                *v = a * (1.0 - fx) * (1.0 - fy)
+                    + b * fx * (1.0 - fy)
+                    + c * (1.0 - fx) * fy
+                    + d * fx * fy;
+            }
+        });
+        Plane::from_vec(ow, oh, data).expect("rows cover the output plane")
+    }
+
+    #[test]
+    fn upsample2_matches_the_clamped_reference_bitwise() {
+        let bits = |p: &Plane<f32>| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for w in 1..=40 {
+            for h in 1..=40 {
+                let p = Plane::from_fn(w, h, |x, y| {
+                    127.0 + 90.0 * ((x as f32 * 0.71 + y as f32 * 0.13).sin())
+                        - 0.37 * (x * y) as f32
+                });
+                assert_eq!(
+                    bits(&upsample2_bilinear(&p)),
+                    bits(&upsample2_bilinear_reference(&p)),
+                    "{w}x{h}"
+                );
+            }
+        }
     }
 
     #[test]

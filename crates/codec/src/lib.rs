@@ -23,6 +23,15 @@
 //! The bitstream is a real, decodable byte stream (not just a size
 //! estimate), so encoded-frame sizes give honest bandwidth numbers and the
 //! decoder exposes exactly the internals ([`DecodeDetail`]) NEMO consumes.
+//! It builds them only for the consumers that need them: an inter frame's
+//! [`Residual`] stays on the coded grid (luma plus 4:2:0 chroma), and its
+//! full-size frame, with two chroma upsamples, is made only when NEMO or
+//! the SR-integrated decoder calls [`Residual::into_frame`].
+//!
+//! The motion search scores each step's eight candidates in one pass over
+//! the block when they lie inside the reference. Every candidate keeps its
+//! own `f64` SAD accumulator and adds its terms in raster order, as a
+//! separate SAD would, so the chosen vectors are the same bits.
 //!
 //! ```
 //! use gss_codec::{Decoder, Encoder, EncoderConfig};
@@ -52,8 +61,8 @@ mod rate;
 
 pub use bits::{BitReader, BitWriter};
 pub use dct::{dct8_forward, dct8_inverse, Block8};
-pub use decoder::{DecodeDetail, DecodedFrame, Decoder};
-pub use encoder::{EncodedFrame, Encoder, EncoderConfig, FrameType};
+pub use decoder::{DecodeDetail, DecodedFrame, Decoder, Residual};
+pub use encoder::{upsample2_bilinear, EncodedFrame, Encoder, EncoderConfig, FrameType};
 pub use entropy::{decode_plane, encode_plane};
 pub use error::CodecError;
 pub use intra::{decode_plane_intra, encode_plane_intra, IntraMode};

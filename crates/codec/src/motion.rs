@@ -123,9 +123,8 @@ fn sad(
     let bw = block.min(w.saturating_sub(x));
     let bh = block.min(h.saturating_sub(y));
     let (rx, ry) = (x as isize + dx as isize, y as isize + dy as isize);
-    let (rw, rh) = reference.size();
     let mut acc = 0.0f64;
-    if rx >= 0 && ry >= 0 && rx as usize + bw <= rw && ry as usize + bh <= rh {
+    if inside(x, y, (dx, dy), (bw, bh), reference.size()) {
         let (rx, ry) = (rx as usize, ry as usize);
         for by in 0..bh {
             let c = &cur.row(y + by)[x..x + bw];
@@ -178,7 +177,66 @@ pub fn estimate_motion(
     MotionField::from_vectors(mb_cols, mb_rows, vectors)
 }
 
+/// `true` when the `bw x bh` block at `(x, y)` displaced by `(dx, dy)` lies
+/// inside a `rw x rh` reference, so [`sad`] reads it without clamping.
+fn inside(
+    x: usize,
+    y: usize,
+    (dx, dy): (i32, i32),
+    (bw, bh): (usize, usize),
+    (rw, rh): (usize, usize),
+) -> bool {
+    let (rx, ry) = (x as isize + dx as isize, y as isize + dy as isize);
+    rx >= 0 && ry >= 0 && rx as usize + bw <= rw && ry as usize + bh <= rh
+}
+
+/// The SADs of eight displacements of one full-width block, all lying
+/// inside the reference, in a single pass over the block. Each
+/// displacement keeps its own `f64` accumulator and adds its terms in
+/// raster order, exactly as [`sad`] does, so every result is bit-identical
+/// to a separate [`sad`] call; the eight independent chains only remove
+/// the serial add latency.
+fn sad8(
+    cur: &Plane<f32>,
+    reference: &Plane<f32>,
+    x: usize,
+    y: usize,
+    offsets: &[(i32, i32); 8],
+    bh: usize,
+) -> [f64; 8] {
+    fn block_row(data: &[f32], start: usize) -> &[f32; MB_SIZE] {
+        data[start..start + MB_SIZE]
+            .try_into()
+            .expect("a slice of MB_SIZE")
+    }
+    let (stride, data) = (reference.width(), reference.as_slice());
+    let starts = offsets.map(|(dx, dy)| {
+        (y as isize + dy as isize) as usize * stride + (x as isize + dx as isize) as usize
+    });
+    let mut acc = [0.0f64; 8];
+    for by in 0..bh {
+        let c = block_row(cur.row(y + by), x);
+        let r: [&[f32; MB_SIZE]; 8] =
+            std::array::from_fn(|k| block_row(data, starts[k] + by * stride));
+        for (i, &c) in c.iter().enumerate() {
+            for (a, r) in acc.iter_mut().zip(&r) {
+                *a += (c - r[i]).abs() as f64;
+            }
+        }
+    }
+    acc
+}
+
 /// Three-step search for one macroblock.
+///
+/// Each step scores the eight neighbours of the current centre in a fixed
+/// order and moves to a strictly cheaper one. When the block is
+/// full-width and the centre and every in-range neighbour lie inside the
+/// reference, the step's SADs come from one [`sad8`] pass; otherwise each
+/// neighbour gets its own clamped [`sad`]. Either way the costs are compared in the same order, so ties
+/// resolve the same way. A neighbour outside the search range never wins:
+/// it scores NaN, or in the one-pass case the centre's own SAD, which is
+/// the cost the step started from.
 fn search_block(
     current: &Plane<f32>,
     reference: &Plane<f32>,
@@ -188,12 +246,18 @@ fn search_block(
 ) -> MotionVector {
     let x = bx * MB_SIZE;
     let y = by * MB_SIZE;
+    let (w, h) = current.size();
+    let block = (MB_SIZE.min(w - x), MB_SIZE.min(h - y));
+    let ref_size = reference.size();
+    let in_range = |(dx, dy): (i32, i32)| {
+        dx.unsigned_abs() <= search_range as u32 && dy.unsigned_abs() <= search_range as u32
+    };
     let mut best = (0i32, 0i32);
     let mut best_cost = sad(current, reference, x, y, 0, 0, MB_SIZE);
     let mut step = ((search_range as i32 + 1) / 2).max(1);
     while step >= 1 {
         let center = best;
-        for (sx, sy) in [
+        let cands = [
             (-step, -step),
             (0, -step),
             (step, -step),
@@ -202,14 +266,26 @@ fn search_block(
             (-step, step),
             (0, step),
             (step, step),
-        ] {
-            let cand = (center.0 + sx, center.1 + sy);
-            if cand.0.unsigned_abs() > search_range as u32
-                || cand.1.unsigned_abs() > search_range as u32
-            {
-                continue;
-            }
-            let cost = sad(current, reference, x, y, cand.0, cand.1, MB_SIZE);
+        ]
+        .map(|(sx, sy)| (center.0 + sx, center.1 + sy));
+        let fast = block.0 == MB_SIZE
+            && inside(x, y, center, block, ref_size)
+            && cands
+                .iter()
+                .all(|&c| !in_range(c) || inside(x, y, c, block, ref_size));
+        let costs = if fast {
+            let offsets = cands.map(|c| if in_range(c) { c } else { center });
+            sad8(current, reference, x, y, &offsets, block.1)
+        } else {
+            cands.map(|c| {
+                if in_range(c) {
+                    sad(current, reference, x, y, c.0, c.1, MB_SIZE)
+                } else {
+                    f64::NAN
+                }
+            })
+        };
+        for (cand, cost) in cands.into_iter().zip(costs) {
             if cost < best_cost {
                 best_cost = cost;
                 best = cand;
@@ -380,6 +456,104 @@ mod tests {
                 bits(&compensate_reference(&reference, &motion, block)),
                 "{w}x{h} block {block}"
             );
+        }
+    }
+
+    /// The three-step search with one [`sad`] call per candidate that the
+    /// interleaved search replaced, kept verbatim as the bit-exact reference.
+    fn search_block_reference(
+        current: &Plane<f32>,
+        reference: &Plane<f32>,
+        bx: usize,
+        by: usize,
+        search_range: u8,
+    ) -> MotionVector {
+        let x = bx * MB_SIZE;
+        let y = by * MB_SIZE;
+        let mut best = (0i32, 0i32);
+        let mut best_cost = sad(current, reference, x, y, 0, 0, MB_SIZE);
+        let mut step = ((search_range as i32 + 1) / 2).max(1);
+        while step >= 1 {
+            let center = best;
+            for (sx, sy) in [
+                (-step, -step),
+                (0, -step),
+                (step, -step),
+                (-step, 0),
+                (step, 0),
+                (-step, step),
+                (0, step),
+                (step, step),
+            ] {
+                let cand = (center.0 + sx, center.1 + sy);
+                if cand.0.unsigned_abs() > search_range as u32
+                    || cand.1.unsigned_abs() > search_range as u32
+                {
+                    continue;
+                }
+                let cost = sad(current, reference, x, y, cand.0, cand.1, MB_SIZE);
+                if cost < best_cost {
+                    best_cost = cost;
+                    best = cand;
+                }
+            }
+            step /= 2;
+        }
+        MotionVector {
+            dx: best.0 as i16,
+            dy: best.1 as i16,
+        }
+    }
+
+    #[test]
+    fn search_matches_the_per_candidate_reference() {
+        // partial edge macroblocks (50x34, 7x5), blocks on every border,
+        // ranges whose candidates cross the reference edge, and coarse
+        // integer textures whose equal costs exercise the tie order
+        let mut blocks = 0;
+        for (w, h) in [(50, 34), (64, 48), (96, 64), (7, 5)] {
+            let smooth = textured(w, h);
+            let coarse = Plane::from_fn(w, h, |x, y| ((x / 3 + y / 2) % 3) as f32 * 20.0);
+            for (reference, (dx, dy)) in [(&smooth, (3, -2)), (&smooth, (-5, 4)), (&coarse, (1, 1))]
+            {
+                let current = shifted(reference, dx, dy).map(|v| v * 0.97 + 2.0);
+                for range in [1, 2, 4, 7, 12, 40] {
+                    for by in 0..h.div_ceil(MB_SIZE) {
+                        for bx in 0..w.div_ceil(MB_SIZE) {
+                            assert_eq!(
+                                search_block(&current, reference, bx, by, range),
+                                search_block_reference(&current, reference, bx, by, range),
+                                "{w}x{h} mb ({bx},{by}) range {range}"
+                            );
+                            blocks += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(blocks > 300, "{blocks}");
+    }
+
+    #[test]
+    fn sad8_matches_separate_sads_bitwise() {
+        let reference = textured(64, 48);
+        let current = shifted(&reference, 2, -1).map(|v| v * 0.93 + 4.1);
+        let offsets = [
+            (-3, -3),
+            (0, -3),
+            (3, -3),
+            (-3, 0),
+            (3, 0),
+            (-3, 3),
+            (0, 3),
+            (3, 3),
+        ];
+        for (x, y) in [(16, 16), (32, 16), (20, 5), (45, 29)] {
+            let got = sad8(&current, &reference, x, y, &offsets, MB_SIZE.min(48 - y));
+            for (k, &(dx, dy)) in offsets.iter().enumerate() {
+                let want = sad(&current, &reference, x, y, dx, dy, MB_SIZE);
+                assert_eq!(got[k].to_bits(), want.to_bits(), "({x},{y}) mv ({dx},{dy})");
+            }
         }
     }
 

@@ -63,11 +63,29 @@ impl QuantMatrix {
 pub fn quantize(coeffs: &Block8, q: &QuantMatrix) -> [i16; 64] {
     let mut out = [0i16; 64];
     for i in 0..64 {
-        out[i] = (coeffs[i] / q.steps[i] as f32)
-            .round()
-            .clamp(-32768.0, 32767.0) as i16;
+        out[i] = round_to_i16(coeffs[i] / q.steps[i] as f32);
     }
     out
+}
+
+/// `x.round().clamp(-32768.0, 32767.0) as i16` without the libm `roundf`
+/// call the baseline x86-64 target makes for it. Clamping first gives the
+/// same level (rounding is monotone and keeps both bounds), and on the
+/// clamped range `x − trunc(x)` is exact, so rounding half away from zero
+/// is one compare per sign. NaN maps to 0 either way.
+#[inline(always)]
+fn round_to_i16(x: f32) -> i16 {
+    let c = x.clamp(-32768.0, 32767.0);
+    let t = c as i32;
+    let frac = c - t as f32;
+    let r = if frac >= 0.5 {
+        t + 1
+    } else if frac <= -0.5 {
+        t - 1
+    } else {
+        t
+    };
+    r as i16
 }
 
 /// Reconstructs coefficients from quantized levels.
@@ -82,6 +100,84 @@ pub fn dequantize(levels: &[i16; 64], q: &QuantMatrix) -> Block8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The quantizer loop before [`round_to_i16`], kept verbatim.
+    fn quantize_reference(coeffs: &Block8, q: &QuantMatrix) -> [i16; 64] {
+        let mut out = [0i16; 64];
+        for i in 0..64 {
+            out[i] = (coeffs[i] / q.steps[i] as f32)
+                .round()
+                .clamp(-32768.0, 32767.0) as i16;
+        }
+        out
+    }
+
+    /// Quantizes `values`, 64 at a time, with both loops.
+    fn assert_quantizers_agree(values: &[f32], q: &QuantMatrix) {
+        for chunk in values.chunks(64) {
+            let mut block = [0.0f32; 64];
+            block[..chunk.len()].copy_from_slice(chunk);
+            assert_eq!(
+                quantize(&block, q),
+                quantize_reference(&block, q),
+                "{chunk:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rounding_matches_libm_round_bitwise() {
+        // a unit step divides exactly, so these are the rounded values
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -2.5,
+            0.49999997,
+            -0.49999997,
+            32766.5,
+            32767.0,
+            32767.5,
+            -32767.5,
+            -32768.0,
+            -32768.5,
+            1e9,
+            -1e9,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE,
+        ];
+        // every f32 up to past the clamp on a fine bit stride, both signs,
+        // plus every value with a fraction of exactly one half
+        for bits in (0..=40_000.0f32.to_bits()).step_by(61) {
+            values.extend([f32::from_bits(bits), -f32::from_bits(bits)]);
+        }
+        values.extend((-33_000..33_000).map(|k| k as f32 + 0.5));
+        assert_quantizers_agree(&values, &QuantMatrix::flat(1));
+    }
+
+    #[test]
+    fn quantize_matches_the_libm_loop() {
+        let values: Vec<f32> = (0..400 * 64usize)
+            .map(|i| {
+                let b = i / 64;
+                (i as f32 * 0.7713).sin() * 10f32.powi((b % 7) as i32 - 1) + 0.5 * (b % 3) as f32
+            })
+            .collect();
+        for q in [
+            QuantMatrix::from_quality(1),
+            QuantMatrix::from_quality(50),
+            QuantMatrix::from_quality(100),
+            QuantMatrix::flat(7),
+        ] {
+            assert_quantizers_agree(&values, &q);
+        }
+    }
 
     #[test]
     fn quality_orders_step_sizes() {

@@ -98,6 +98,7 @@ impl SrIntegratedDecoder {
                     .as_ref()
                     .ok_or(gss_codec::CodecError::MissingReference)?;
                 // step-3: RoI-guided residual interpolation
+                let residual = residual.into_frame();
                 let (lw, lh) = residual.size();
                 let roi_lr = roi.clamp_to(lw, lh);
                 let residual_bilinear = self.bilinear.upscale(&residual);

@@ -98,7 +98,7 @@ impl NemoClient {
                     .reference_hr
                     .as_ref()
                     .ok_or(gss_codec::CodecError::MissingReference)?;
-                let hr = self.reconstruct(reference, &motion, &residual);
+                let hr = self.reconstruct(reference, &motion, &residual.into_frame());
                 self.reference_hr = Some(hr.clone());
                 Ok(NemoOutput {
                     frame: hr,

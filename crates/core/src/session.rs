@@ -906,8 +906,10 @@ pub fn run_session(config: &SessionConfig, pipeline: Pipeline) -> Result<Session
 
         // ---- data path + quality --------------------------------------------
         let (psnr_db, foveated_psnr_db, perceptual) = if config.evaluate_quality {
+            // only a loss-recovering session can freeze, so only it keeps
+            // the shown frame for the next one
             let displayed: Option<Frame> = if frozen {
-                last_displayed.clone()
+                last_displayed.take()
             } else {
                 let out: Frame = match pipeline {
                     Pipeline::GameStreamSr => {
@@ -919,8 +921,7 @@ pub fn run_session(config: &SessionConfig, pipeline: Pipeline) -> Result<Session
                 };
                 Some(out)
             };
-            last_displayed = displayed.clone();
-            match displayed {
+            let quality = match &displayed {
                 Some(out) => {
                     let (hw, hh) = packet.ground_truth_hr.size();
                     // the shipped RoI is even-aligned at lr scale; keep the
@@ -933,19 +934,23 @@ pub fn run_session(config: &SessionConfig, pipeline: Pipeline) -> Result<Session
                         .aligned_even()
                         .clamp_to(hw, hh);
                     (
-                        Some(psnr(&packet.ground_truth_hr, &out)?),
+                        Some(psnr(&packet.ground_truth_hr, out)?),
                         Some(region_weighted_psnr(
                             &packet.ground_truth_hr,
-                            &out,
+                            out,
                             roi_hr,
                             4.0,
                         )?),
-                        Some(perceptual_distance(&packet.ground_truth_hr, &out)?),
+                        Some(perceptual_distance(&packet.ground_truth_hr, out)?),
                     )
                 }
                 // nothing was ever displayed (loss before the first frame)
                 None => (None, None, None),
+            };
+            if loss_recovery {
+                last_displayed = displayed;
             }
+            quality
         } else {
             (None, None, None)
         };

@@ -470,11 +470,23 @@ fn covers(tri: &PreparedTri<'_>, sx: f32, sy: f32) -> Option<([f32; 3], f32)> {
     Some(([w0, w1, w2], 1.0 / inv_w))
 }
 
+/// Span pixels whose coverage and depth terms [`visibility_row`] computes
+/// in one stack-buffered batch.
+const CHUNK: usize = 64;
+
 /// The visibility pass over row `py`: runs every triangle's coverage and
 /// depth test over the columns `span` yields, in submission order,
 /// keeping the nearest depth and its triangle's index. Returns the number
 /// of depth-test passes. The inline depth test mirrors
 /// [`DepthMap::test_and_set`].
+///
+/// Per triangle row, the row-constant products of both edge functions are
+/// hoisted; they are the same f32 expressions [`edge`] evaluates, so every
+/// weight keeps its bits. Each chunk of the span then computes the
+/// weights, `inv_w` and normalized depth of all its pixels branch-free
+/// into a stack buffer, with the exact [`covers`] predicates as a mask
+/// (so NaN weights pass, as they do there), and a second scalar loop runs
+/// the depth compare and winner write in column order.
 fn visibility_row(
     tris: &[PreparedTri<'_>],
     py: usize,
@@ -484,6 +496,7 @@ fn visibility_row(
     span: impl Fn(&PreparedTri<'_>, usize) -> Span,
 ) -> usize {
     let sy = py as f32 + 0.5;
+    let offsets: [f32; CHUNK] = std::array::from_fn(|i| i as f32);
     let mut passed = 0usize;
     for (id, tri) in tris.iter().enumerate() {
         if py < tri.min_y || py > tri.max_y {
@@ -492,17 +505,40 @@ fn visibility_row(
         let Some((x0, x1)) = span(tri, py) else {
             continue;
         };
-        for (px, (d, w)) in (x0..=x1).zip(depth[x0..=x1].iter_mut().zip(&mut winner[x0..=x1])) {
-            let Some((_, dist)) = covers(tri, px as f32 + 0.5, sy) else {
-                continue;
-            };
-            let d01 = ((dist - range.near) / range.span).clamp(0.0, 1.0);
-            if d01 >= *d {
-                continue;
+        let [v0, v1, v2] = &tri.sv;
+        // edge(v1, v2, p) = a0 − b0·(px − v1.x), edge(v2, v0, p) likewise
+        let (a0, b0) = ((v2.x - v1.x) * (sy - v1.y), v2.y - v1.y);
+        let (a1, b1) = ((v0.x - v2.x) * (sy - v2.y), v0.y - v2.y);
+        let mut start = x0;
+        while start <= x1 {
+            let n = (x1 + 1 - start).min(CHUNK);
+            // pixel centres are half-integers below 2^23, exact in f32
+            let base = start as f32 + 0.5;
+            let mut d01 = [0.0f32; CHUNK];
+            let mut hit = [false; CHUNK];
+            for ((d, h), &off) in d01[..n].iter_mut().zip(&mut hit[..n]).zip(&offsets) {
+                let sx = base + off;
+                let w0 = (a0 - b0 * (sx - v1.x)) * tri.inv_area;
+                let w1 = (a1 - b1 * (sx - v2.x)) * tri.inv_area;
+                let w2 = 1.0 - w0 - w1;
+                let inv_w = w0 * v0.inv_w + w1 * v1.inv_w + w2 * v2.inv_w;
+                *h = !((w0 < 0.0) | (w1 < 0.0) | (w2 < 0.0) | (inv_w <= 0.0));
+                *d = ((1.0 / inv_w - range.near) / range.span).clamp(0.0, 1.0);
             }
-            *d = d01;
-            *w = id as u32;
-            passed += 1;
+            let cols = start..start + n;
+            for ((&d01, &hit), (d, w)) in d01[..n]
+                .iter()
+                .zip(&hit[..n])
+                .zip(depth[cols.clone()].iter_mut().zip(&mut winner[cols]))
+            {
+                if !hit || d01 >= *d {
+                    continue;
+                }
+                *d = d01;
+                *w = id as u32;
+                passed += 1;
+            }
+            start += n;
         }
     }
     passed
@@ -823,6 +859,160 @@ mod culling_tests {
 mod span_tests {
     use super::*;
     use crate::scenes::{GameId, GameWorkload};
+
+    /// The per-pixel [`covers`] walk the chunked visibility pass replaced,
+    /// kept verbatim as the bit-exact reference.
+    fn visibility_row_reference(
+        tris: &[PreparedTri<'_>],
+        py: usize,
+        depth: &mut [f32],
+        winner: &mut [u32],
+        range: DepthRange,
+        span: impl Fn(&PreparedTri<'_>, usize) -> Span,
+    ) -> usize {
+        let sy = py as f32 + 0.5;
+        let mut passed = 0usize;
+        for (id, tri) in tris.iter().enumerate() {
+            if py < tri.min_y || py > tri.max_y {
+                continue;
+            }
+            let Some((x0, x1)) = span(tri, py) else {
+                continue;
+            };
+            for (px, (d, w)) in (x0..=x1).zip(depth[x0..=x1].iter_mut().zip(&mut winner[x0..=x1])) {
+                let Some((_, dist)) = covers(tri, px as f32 + 0.5, sy) else {
+                    continue;
+                };
+                let d01 = ((dist - range.near) / range.span).clamp(0.0, 1.0);
+                if d01 >= *d {
+                    continue;
+                }
+                *d = d01;
+                *w = id as u32;
+                passed += 1;
+            }
+        }
+        passed
+    }
+
+    #[test]
+    fn visibility_rows_keep_the_edge_cases_of_covers() {
+        // hand-made triangles the game scenes never produce: NaN and
+        // infinite weights (which pass the coverage test, as in `covers`)
+        // and a negative `1/w` (which fails it)
+        let texture = crate::texture::ProceduralTexture::Solid([9.0; 3]);
+        let vertex = |x: f32, y: f32, inv_w: f32| ScreenVertex {
+            x,
+            y,
+            inv_w,
+            u_over_w: 0.0,
+            v_over_w: 0.0,
+        };
+        let tri = |sv: [ScreenVertex; 3], inv_area: f32| PreparedTri {
+            sv,
+            inv_area,
+            min_x: 0,
+            max_x: 70,
+            min_y: 0,
+            max_y: 5,
+            in_guard_band: false,
+            texture: TextureSampler::new(&texture),
+            brightness: 1.0,
+        };
+        let plain = [
+            vertex(0.0, 0.0, 0.5),
+            vertex(0.0, 6.0, 0.4),
+            vertex(70.0, 0.0, 0.3),
+        ];
+        let area = edge(0.0, 0.0, 0.0, 6.0, 70.0, 0.0);
+        let tris = [
+            tri(plain, 1.0 / area),
+            tri([vertex(f32::NAN, 0.0, 0.5), plain[1], plain[2]], 1.0 / area),
+            tri(plain, f32::INFINITY),
+            tri(plain.map(|v| ScreenVertex { inv_w: -0.5, ..v }), 1.0 / area),
+            tri(plain.map(|v| ScreenVertex { inv_w: 8.0, ..v }), 1.0 / area),
+        ];
+        let range = DepthRange {
+            near: 0.1,
+            span: 99.9,
+        };
+        let full_box = |tri: &PreparedTri<'_>, _: usize| Some((tri.min_x, tri.max_x));
+        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for order in [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [3, 0, 4, 2, 1]] {
+            let tris: Vec<PreparedTri<'_>> = order
+                .iter()
+                .map(|&i| tri(tris[i].sv, tris[i].inv_area))
+                .collect();
+            for py in 0..6 {
+                let (mut depth, mut winner) = (vec![1.0f32; 71], vec![SKY; 71]);
+                let (mut depth_ref, mut winner_ref) = (depth.clone(), winner.clone());
+                let passed = visibility_row(&tris, py, &mut depth, &mut winner, range, full_box);
+                let passed_ref = visibility_row_reference(
+                    &tris,
+                    py,
+                    &mut depth_ref,
+                    &mut winner_ref,
+                    range,
+                    full_box,
+                );
+                assert_eq!(
+                    (passed, bits(&depth), winner),
+                    (passed_ref, bits(&depth_ref), winner_ref),
+                    "order {order:?} row {py}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn visibility_rows_match_the_per_pixel_reference() {
+        // every game at the comparison's 640x360 and the fleet's 256x144,
+        // over both the analytic spans and the whole-box walk the
+        // guard-band fallback uses
+        let full_box = |tri: &PreparedTri<'_>, _: usize| Some((tri.min_x, tri.max_x));
+        let mut fallbacks = 0;
+        for (width, height) in [(640, 360), (256, 144)] {
+            for id in GameId::ALL {
+                let workload = GameWorkload::new(id);
+                let camera = workload.path().camera_at(0);
+                let (tris, _) = prepare(workload.scene(), &camera, width, height);
+                fallbacks += tris.iter().filter(|t| !t.in_guard_band).count();
+                let range = DepthRange {
+                    near: camera.near,
+                    span: camera.far - camera.near,
+                };
+                for py in 0..height {
+                    for span in [
+                        &row_span as &dyn Fn(&PreparedTri<'_>, usize) -> Span,
+                        &full_box,
+                    ] {
+                        let (mut depth, mut winner) = (vec![1.0f32; width], vec![SKY; width]);
+                        let (mut depth_ref, mut winner_ref) = (depth.clone(), winner.clone());
+                        let passed =
+                            visibility_row(&tris, py, &mut depth, &mut winner, range, span);
+                        let passed_ref = visibility_row_reference(
+                            &tris,
+                            py,
+                            &mut depth_ref,
+                            &mut winner_ref,
+                            range,
+                            span,
+                        );
+                        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            (passed, bits(&depth), winner),
+                            (passed_ref, bits(&depth_ref), winner_ref),
+                            "{id:?} {width}x{height} row {py}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            fallbacks > 0,
+            "no triangle exercised the guard-band fallback"
+        );
+    }
 
     #[test]
     fn row_spans_keep_every_covered_pixel_and_the_depth_result() {
